@@ -332,23 +332,27 @@ void run_daemon(const Settings& settings, Outcome& outcome, Tracer& tracer) {
     e2e.setup_s.push_back(now_s() - t0);
   }
 
+  // One timed pass, recorded as a round; its request latencies are kept too.
   std::uint64_t pass_index = 0;
+  std::vector<double> latency_ms;
+  double timed_s = 0;
   auto timed_pass = [&](Tracer* pass_tracer) {
     PassResult pass = workload.pass(pass_index++, outcome, pass_tracer);
-    e2e.op_ms.insert(e2e.op_ms.end(), pass.latency_ms.begin(), pass.latency_ms.end());
-    e2e.items += static_cast<double>(pass.latency_ms.size());
-    e2e.instructions += pass.instructions;
-    e2e.wall_s += pass.wall_s;
+    latency_ms.insert(latency_ms.end(), pass.latency_ms.begin(), pass.latency_ms.end());
+    e2e.rounds.push_back({pass.wall_s * 1e3, static_cast<double>(pass.latency_ms.size()),
+                          pass.instructions});
+    timed_s += pass.wall_s;
     return pass;
   };
 
   if (!settings.trace) {
-    while (e2e.wall_s < settings.seconds) timed_pass(nullptr);
+    while (timed_s < settings.seconds) timed_pass(nullptr);
     emit_end_to_end(outcome, e2e);
-    outcome.note("req_ms.p50 = " + std::to_string(quantile(e2e.op_ms, 0.5)) +
-                 " ms, req_ms.p90 = " + std::to_string(quantile(e2e.op_ms, 0.9)) +
-                 " ms, req_per_s = " + std::to_string(e2e.items / e2e.wall_s) + " (n=" +
-                 std::to_string(e2e.op_ms.size()) + " requests)");
+    outcome.note("one round is one pass of " + std::to_string(kRequestsPerPass) +
+                 " requests; " + rounds_note(e2e));
+    outcome.note("req_ms.p50 = " + std::to_string(quantile(latency_ms, 0.5)) +
+                 " ms, req_ms.p90 = " + std::to_string(quantile(latency_ms, 0.9)) +
+                 " ms (n=" + std::to_string(latency_ms.size()) + " requests)");
     return;
   }
 
@@ -357,7 +361,7 @@ void run_daemon(const Settings& settings, Outcome& outcome, Tracer& tracer) {
   std::vector<PassResult> passes;
   std::vector<double> untraced_ms;
   std::vector<double> traced_ms;
-  while (e2e.wall_s < settings.seconds) {
+  while (timed_s < settings.seconds) {
     const PassResult untraced = timed_pass(nullptr);
     untraced_ms.insert(untraced_ms.end(), untraced.latency_ms.begin(), untraced.latency_ms.end());
     passes.push_back(timed_pass(&tracer));

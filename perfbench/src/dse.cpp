@@ -105,31 +105,28 @@ void run_dse(const Settings& settings, Outcome& outcome, Tracer& tracer) {
     e2e.setup_s.push_back(now_s() - t0);
   }
 
-  auto timed_sweeps = [&](double seconds) {
-    std::vector<double> op_ms;
-    e2e.wall_s += run_for(seconds, [&] {
-      double wall_ms = 0;
-      const search::SearchResult result = sweep(*model, nullptr, &wall_ms);
-      op_ms.push_back(wall_ms);
-      for (const DsePoint& point : result.points) {
-        e2e.items += point.ok ? 1 : 0;
-        e2e.instructions += static_cast<double>(point.report.sim.instructions);
-      }
-    });
-    return op_ms;
+  // One timed sweep, recorded as a round; returns its wall time.
+  auto timed_sweep = [&] {
+    double wall_ms = 0;
+    const search::SearchResult result = sweep(*model, nullptr, &wall_ms);
+    Round round{wall_ms, 0, 0};
+    for (const DsePoint& point : result.points) {
+      round.items += point.ok ? 1 : 0;
+      round.instructions += static_cast<double>(point.report.sim.instructions);
+    }
+    e2e.rounds.push_back(round);
+    return wall_ms;
   };
 
   if (!settings.trace) {
-    e2e.op_ms = timed_sweeps(settings.seconds);
+    run_for(settings.seconds, [&] { timed_sweep(); });
     emit_end_to_end(outcome, e2e);
-    outcome.note("points_per_s = " + std::to_string(e2e.items / e2e.wall_s) +
-                 " 1/s (n=" + std::to_string(static_cast<long long>(e2e.items)) +
-                 " points in " + std::to_string(e2e.op_ms.size()) + " sweeps)");
+    outcome.note("one round is one 12-point sweep, items are points; " + rounds_note(e2e));
     return;
   }
 
-  // Traced sweeps alternate with untraced ones, whose median is the
-  // tracing-overhead baseline.
+  // Traced sweeps alternate with untraced ones; the tracing overhead
+  // compares the fastest of each, as the end-to-end metrics do.
   std::vector<double> untraced_ms;
   std::vector<double> traced_ms;
   std::vector<double> point_ms;
@@ -143,8 +140,7 @@ void run_dse(const Settings& settings, Outcome& outcome, Tracer& tracer) {
   std::vector<SpanRec> spans;
   std::int64_t sweeps = 0;
   run_for(settings.seconds, [&] {
-    const std::vector<double> untraced = timed_sweeps(0);
-    untraced_ms.insert(untraced_ms.end(), untraced.begin(), untraced.end());
+    untraced_ms.push_back(timed_sweep());
     trace::Collector collector;
     double wall_ms = 0;
     const HostUsage u0 = HostUsage::now();
@@ -200,7 +196,7 @@ void run_dse(const Settings& settings, Outcome& outcome, Tracer& tracer) {
   std::map<std::string, double> values;
   values["traced_wall_ms"] = traced_wall_ms;
   values["other_ms"] = thread_ms - attributed;
-  values["trace.overhead_ms"] = median(traced_ms) - median(untraced_ms);
+  values["trace.overhead_ms"] = quantile(traced_ms, 0) - quantile(untraced_ms, 0);
   values["host.sys_ms"] = usage.sys_ms / n;
   values["host.minor_faults"] = usage.minor_faults / n;
   values["sim.run_ms"] = total["dse.simulate"];

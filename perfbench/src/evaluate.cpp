@@ -190,30 +190,27 @@ void run_evaluate(const Settings& settings, bool validate, Outcome& outcome, Tra
   }
 
   std::uint64_t iteration = 1;
-  auto timed_evaluate = [&](double seconds) {
-    std::vector<double> op_ms;
-    e2e.wall_s += run_for(seconds, [&] {
-      const FlowOptions options = flow_options(spec, settings, iteration++);
-      const double t0 = now_s();
-      const EvaluationReport report = flow.evaluate(*graph, options);
-      op_ms.push_back((now_s() - t0) * 1e3);
-      outcome.op(check(spec, report.sim, report.validation_passed, report.mismatched_bytes));
-      e2e.items += 1;
-      e2e.instructions += static_cast<double>(report.sim.instructions);
-    });
-    return op_ms;
+  // One timed Flow::evaluate, recorded as a round; returns its wall time.
+  auto timed_evaluate = [&] {
+    const FlowOptions options = flow_options(spec, settings, iteration++);
+    const double t0 = now_s();
+    const EvaluationReport report = flow.evaluate(*graph, options);
+    const double ms = (now_s() - t0) * 1e3;
+    outcome.op(check(spec, report.sim, report.validation_passed, report.mismatched_bytes));
+    e2e.rounds.push_back({ms, 1, static_cast<double>(report.sim.instructions)});
+    return ms;
   };
 
   if (!settings.trace) {
-    e2e.op_ms = timed_evaluate(settings.seconds);
+    run_for(settings.seconds, [&] { timed_evaluate(); });
     emit_end_to_end(outcome, e2e);
-    outcome.note("eval_s.p50 = " + std::to_string(median(e2e.op_ms) * 1e-3) + " s (n=" +
-                 std::to_string(e2e.op_ms.size()) + " evaluations)");
+    outcome.note("one round is one evaluation; " + rounds_note(e2e));
     return;
   }
 
   // Traced run: traced layered evaluations alternate with untraced
-  // Flow::evaluate calls, whose median is the tracing-overhead baseline.
+  // Flow::evaluate calls; the tracing overhead compares the fastest of each,
+  // as the end-to-end metrics do.
   std::vector<double> untraced_ms;
   std::vector<double> traced_ms;
   SimCounts counts;
@@ -221,8 +218,7 @@ void run_evaluate(const Settings& settings, bool validate, Outcome& outcome, Tra
   double static_instructions = 0;
   std::int64_t ops = 0;
   run_for(settings.seconds, [&] {
-    const std::vector<double> untraced = timed_evaluate(0);
-    untraced_ms.insert(untraced_ms.end(), untraced.begin(), untraced.end());
+    untraced_ms.push_back(timed_evaluate());
     const FlowOptions options = flow_options(spec, settings, iteration++);
     const HostUsage u0 = HostUsage::now();
     const double t0 = now_s();
@@ -245,7 +241,7 @@ void run_evaluate(const Settings& settings, bool validate, Outcome& outcome, Tra
   std::map<std::string, double> values;
   values["traced_wall_ms"] = total_ms(spans, kOpSpan) / n;
   values["other_ms"] = self_ms(kOpSpan);
-  values["trace.overhead_ms"] = median(traced_ms) - median(untraced_ms);
+  values["trace.overhead_ms"] = quantile(traced_ms, 0) - quantile(untraced_ms, 0);
   values["host.sys_ms"] = usage.sys_ms / n;
   values["host.minor_faults"] = usage.minor_faults / n;
   values["sim.run_ms"] = self_ms("sim.run");

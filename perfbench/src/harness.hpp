@@ -173,19 +173,29 @@ const std::vector<LayerMetric>& layer_metrics();
 /// Emits every per-layer metric from `values` (missing names report 0).
 void emit_layer_metrics(Outcome& outcome, const std::map<std::string, double>& values);
 
-/// Emits the end-to-end metrics shared by every workload.
+/// One timed round: the fixed unit of work a workload repeats (one
+/// evaluation, one sweep, one daemon pass), so rounds compare directly.
+struct Round {
+  double ms = 0;            ///< wall clock
+  double items = 0;         ///< evaluations / points / requests completed
+  double instructions = 0;  ///< simulated dynamic instructions completed
+};
+
+/// The end-to-end metrics shared by every workload. Time metrics come from
+/// the fastest round: on a shared host, contention from other tenants only
+/// ever adds time, in phases lasting seconds, so the fastest of a run's
+/// rounds is far steadier from run to run than their median.
 struct EndToEnd {
-  std::vector<double> setup_s;   ///< one entry per set-up repetition
-  std::vector<double> op_ms;     ///< one entry per timed operation
-  double items = 0;              ///< evaluations / points / requests completed
-  double instructions = 0;       ///< simulated dynamic instructions completed
-  double wall_s = 0;             ///< timed wall clock
+  std::vector<double> setup_s;  ///< one entry per set-up repetition
+  std::vector<Round> rounds;    ///< one entry per timed round
 };
 void emit_end_to_end(Outcome& outcome, const EndToEnd& e2e);
+/// "p50 = X ms, p90 = Y ms, ... (n=N rounds)": the rounds' spread, printed
+/// above the result line.
+std::string rounds_note(const EndToEnd& e2e);
 
-/// Runs `body` until `seconds` have passed (at least once); returns the wall
-/// time spent.
-double run_for(double seconds, const std::function<void()>& body);
+/// Runs `body` until `seconds` have passed (at least once).
+void run_for(double seconds, const std::function<void()>& body);
 
 /// Attribution block recorded with every result.
 cimflow::Json attribution(const Settings& settings);
