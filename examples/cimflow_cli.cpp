@@ -122,13 +122,10 @@ Args parse_args(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      args.options[key] = argv[++i];
-    } else {
-      args.options[key] = "1";
-      args.bare.insert(key);
-    }
+    key.erase(0, 2);
+    const bool has_value = i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
+    if (!has_value) args.bare.insert(key);
+    args.options[key] = std::string(has_value ? argv[++i] : "1");
   }
   return args;
 }

@@ -155,7 +155,6 @@ void ProgramAssembler::build_weight_images() {
       const GroupMapping& m = stage.mappings.at(gid);
       if (!m.geom.valid) continue;
       const graph::Node& anchor = cg_->source().node(group.anchor);
-      const graph::Shape in = cg_->source().node(anchor.inputs.at(0)).out_shape;
       const std::int64_t mg_rows = arch_->mg_rows();
       const std::int64_t mg_cols = arch_->mg_cols();
       const std::int64_t mg = arch_->core().mg_per_unit;
@@ -211,25 +210,17 @@ void ProgramAssembler::build_weight_images() {
             ++slot;
             ref.global_offset = layout_.reserve(ref.rows * ref.cols);
             if (opt_->materialize_data) {
+              // Conv weights are [k][r][s][c] and FC weights [k][i]: either
+              // way weight row k is laid out in im2col row order, so tile
+              // element (i, j) is W[ct * mg_cols + j][rt * mg_rows + i].
               std::vector<std::uint8_t> tile(
                   static_cast<std::size_t>(ref.rows * ref.cols));
-              const std::int64_t kernel =
-                  anchor.kind == graph::OpKind::kConv2d ? anchor.conv().kernel : 1;
-              for (std::int64_t i = 0; i < ref.rows; ++i) {
-                const std::int64_t mrow = rt * mg_rows + i;
-                for (std::int64_t j = 0; j < ref.cols; ++j) {
-                  const std::int64_t k = ct * mg_cols + j;
-                  std::int64_t widx;
-                  if (anchor.kind == graph::OpKind::kConv2d) {
-                    const std::int64_t c = mrow % in.c;
-                    const std::int64_t s = (mrow / in.c) % kernel;
-                    const std::int64_t r = mrow / (in.c * kernel);
-                    widx = ((k * kernel + r) * kernel + s) * in.c + c;
-                  } else {  // fully connected: W[o][i]
-                    widx = k * m.geom.k_rows + mrow;
-                  }
+              for (std::int64_t j = 0; j < ref.cols; ++j) {
+                const std::int8_t* column =
+                    w.data() + (ct * mg_cols + j) * m.geom.k_rows + rt * mg_rows;
+                for (std::int64_t i = 0; i < ref.rows; ++i) {
                   tile[static_cast<std::size_t>(i * ref.cols + j)] =
-                      static_cast<std::uint8_t>(w[static_cast<std::size_t>(widx)]);
+                      static_cast<std::uint8_t>(column[i]);
                 }
               }
               write_image(ref.global_offset, tile.data(),

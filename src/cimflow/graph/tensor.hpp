@@ -27,8 +27,16 @@ struct Shape {
   bool operator==(const Shape&) const = default;
 
   std::string to_string() const {
-    return "[" + std::to_string(n) + "," + std::to_string(h) + "," +
-           std::to_string(w) + "," + std::to_string(c) + "]";
+    std::string out = "[";
+    out += std::to_string(n);
+    out += ',';
+    out += std::to_string(h);
+    out += ',';
+    out += std::to_string(w);
+    out += ',';
+    out += std::to_string(c);
+    out += ']';
+    return out;
   }
 };
 

@@ -131,7 +131,10 @@ std::string attr_to_string(const Attr& attr) {
     }
     return out + "]";
   }
-  return "(" + std::get<AffineExpr>(attr).to_string() + ")";
+  std::string out = "(";
+  out += std::get<AffineExpr>(attr).to_string();
+  out += ')';
+  return out;
 }
 
 }  // namespace

@@ -66,7 +66,8 @@ TEST_F(ProgramCacheTest, StoreLoadRoundTripsProgramAndMetadata) {
 
   PersistentProgramCache cache(dir_);
   PersistentProgramCache::Entry entry{compiled.program, compiled.stats,
-                                      compiled.plan.strategy, "mapping summary text"};
+                                      compiled.plan.strategy, "mapping summary text",
+                                      nullptr};
   ASSERT_TRUE(cache.store(test_key(), entry));
 
   auto loaded = cache.load(test_key());
@@ -120,7 +121,7 @@ TEST_F(ProgramCacheTest, SchemaVersionMismatchIsAMiss) {
       compiler::compile(model, arch::ArchConfig::cimflow_default(), copt);
   PersistentProgramCache cache(dir_);
   cache.store(test_key(),
-              {compiled.program, compiled.stats, compiled.plan.strategy, ""});
+              {compiled.program, compiled.stats, compiled.plan.strategy, "", nullptr});
   // Rewrite the entry under a future schema tag.
   const std::string path = cache.entry_path(test_key());
   std::string text = read_text_file(path);
@@ -139,7 +140,7 @@ TEST_F(ProgramCacheTest, KeyMismatchUnderSameFileNameIsAMiss) {
       compiler::compile(model, arch::ArchConfig::cimflow_default(), copt);
   PersistentProgramCache cache(dir_);
   PersistentProgramCache::Key a = test_key();
-  cache.store(a, {compiled.program, compiled.stats, compiled.plan.strategy, ""});
+  cache.store(a, {compiled.program, compiled.stats, compiled.plan.strategy, "", nullptr});
   // Simulate a hash collision: a different key that (hypothetically) maps to
   // the same file. Copy the entry under another key's path and load that key.
   PersistentProgramCache::Key b = test_key();
@@ -307,7 +308,7 @@ PersistentProgramCache::Entry small_entry() {
   copt.strategy = compiler::Strategy::kGeneric;
   copt.batch = 1;
   const compiler::CompileResult compiled = compiler::compile(model, arch, copt);
-  return {compiled.program, compiled.stats, "generic", "summary"};
+  return {compiled.program, compiled.stats, "generic", "summary", nullptr};
 }
 
 PersistentProgramCache::Key keyed(std::uint64_t arch_fp) {

@@ -365,19 +365,27 @@ TEST(DaemonTest, ShutdownDrainsAdmittedWorkThenStops) {
   ASSERT_TRUE(control.ok());
   control.send_line(R"({"id":99,"verb":"shutdown"})");
 
+  // The control connection's reader sets the drain flag asynchronously; wait
+  // until stats reports it, so the late request cannot be admitted (it would
+  // queue behind the gated job and never answer before release).
+  while (true) {
+    TestClient probe(path);
+    ASSERT_TRUE(probe.ok());
+    probe.send_line(R"({"verb":"stats"})");
+    const Json stats = probe.terminal_event();
+    ASSERT_FALSE(stats.is_null());
+    if (stats.at("payload").at("daemon").at("draining").as_bool()) break;
+  }
+
   // New work is refused while draining.
   TestClient late(path);
   ASSERT_TRUE(late.ok());
-  Json late_event;
-  while (true) {
-    late.send_line(R"({"id":7,"verb":"evaluate"})");
-    late_event = late.terminal_event();
-    ASSERT_FALSE(late_event.is_null());
-    if (late_event.at("event").as_string() == "error") break;
-    // Raced ahead of the drain flag and was admitted — consume and retry
-    // (the gated handler may hold it; release below frees everything).
-    break;
-  }
+  late.send_line(R"({"id":7,"verb":"evaluate"})");
+  const Json late_event = late.terminal_event();
+  ASSERT_FALSE(late_event.is_null());
+  EXPECT_EQ(late_event.at("event").as_string(), "error");
+  EXPECT_EQ(late_event.at("id").as_int(), 7);
+  EXPECT_EQ(late_event.at("error").at("code").as_string(), "CapacityExceeded");
 
   gate.release();
   const Json result = worker_conn.terminal_event();
