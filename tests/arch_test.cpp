@@ -71,6 +71,11 @@ struct BadConfigCase {
   std::function<void(ChipParams&, CoreParams&, UnitParams&)> mutate;
 };
 
+// gtest would otherwise print the case as raw bytes, which include the
+// address of `name`; that address changes with every run, and so would the
+// test names that ctest discovers.
+void PrintTo(const BadConfigCase& c, std::ostream* os) { *os << c.name; }
+
 class ArchValidationTest : public ::testing::TestWithParam<BadConfigCase> {};
 
 TEST_P(ArchValidationTest, RejectsInvalid) {
