@@ -1,8 +1,8 @@
 // Microbenchmarks of the simulator: end-to-end simulation rate
 // (instructions per second of simulated execution) in timing and functional
-// modes, the hot functional kernels in isolation (old column-strided vs new
-// row-major MVM, the pointer-resolved vs byte-routed exec_vec path, the
-// GlobalImage span-pinning vs byte path), and the NoC transfer model. The
+// modes, the hot functional kernels in isolation (the row-major MVM kernel,
+// the exec_vec path, the GlobalImage span-pinning vs byte path), and the NoC
+// transfer model. The
 // kernel-level entries exist so a hot-path regression shows up here long
 // before it is visible end-to-end.
 #include <benchmark/benchmark.h>
@@ -90,11 +90,7 @@ void BM_SimulateResnet18Functional(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateResnet18Functional)->Unit(benchmark::kMillisecond);
 
-// --- functional MVM kernel: seed-era column-strided vs blocked row-major ----
-//
-// Identical inputs, identical (bit-exact) outputs; only the walk order and
-// the per-column byte swizzle differ. The acceptance bar for the hot-path
-// overhaul is >= 2x on this comparison.
+// --- functional MVM kernel: the exec_mvm fast path in miniature -------------
 
 std::vector<std::int8_t> random_weights(std::int64_t n, unsigned seed) {
   std::minstd_rand rng(seed);
@@ -103,25 +99,7 @@ std::vector<std::int8_t> random_weights(std::int64_t n, unsigned seed) {
   return w;
 }
 
-void BM_MvmKernelRef(benchmark::State& state) {
-  const std::int64_t rows = state.range(0);
-  const std::int64_t cols = state.range(1);
-  const std::vector<std::int8_t> weights = random_weights(rows * cols, 7);
-  const std::vector<std::int8_t> in_v = random_weights(rows, 11);
-  const auto* in = reinterpret_cast<const std::uint8_t*>(in_v.data());
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(4 * cols), 0);
-  for (auto _ : state) {
-    sim::kernels::mvm_ref(out.data(), in, weights.data(), rows, cols,
-                          /*accumulate=*/true);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * rows * cols);
-}
-BENCHMARK(BM_MvmKernelRef)
-    ->Args({64, 64})->Args({256, 64})->Args({512, 64})->Args({512, 256})
-    ->Args({256, 256})->Args({512, 512});
-
-void BM_MvmKernelNew(benchmark::State& state) {
+void BM_MvmKernel(benchmark::State& state) {
   const std::int64_t rows = state.range(0);
   const std::int64_t cols = state.range(1);
   const std::vector<std::int8_t> weights = random_weights(rows * cols, 7);
@@ -130,8 +108,7 @@ void BM_MvmKernelNew(benchmark::State& state) {
   std::vector<std::uint8_t> out(static_cast<std::size_t>(4 * cols), 0);
   std::vector<std::int32_t> row(static_cast<std::size_t>(cols));
   for (auto _ : state) {
-    // The exec_mvm fast path in miniature: preload the psum row, stream the
-    // weights row-major, flush once.
+    // Preload the psum row, stream the weights row-major, flush once.
     sim::kernels::load_le32_row(row.data(), out.data(), cols);
     sim::kernels::mvm_accumulate(row.data(), in, weights.data(), rows, cols);
     sim::kernels::store_le32_row(out.data(), row.data(), cols);
@@ -139,14 +116,14 @@ void BM_MvmKernelNew(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rows * cols);
 }
-BENCHMARK(BM_MvmKernelNew)
+BENCHMARK(BM_MvmKernel)
     ->Args({64, 64})->Args({256, 64})->Args({512, 64})->Args({512, 256})
     ->Args({256, 256})->Args({512, 512});
 
 // --- SIMD tier sweep: every registered tier over the same shapes ------------
 //
 // Registered from main() for exactly the tiers kernels::available_tiers()
-// reports on this host, so the scalar-vs-AVX2/NEON comparison is one run of
+// reports on this host, so the scalar-vs-AVX2 comparison is one run of
 // this binary and absent tiers simply don't appear (instead of crashing on
 // SIGILL). The dispatched tier rides in each entry's name and label — that is
 // how a benchmark artifact stays attributable to the host's kernels. The
@@ -171,12 +148,11 @@ void BM_MvmKernelTier(benchmark::State& state, sim::kernels::KernelTier tier,
   state.SetLabel(std::string(sim::kernels::to_string(tier)));
 }
 
-// --- exec_vec: pointer-resolved fast path vs byte-routed reference ----------
+// --- exec_vec through the real simulator -------------------------------------
 //
-// Measured through the real simulator on a synthetic program that loops
-// VEC_ADD8 + VEC_QUANT over a large buffer, toggling only
-// SimOptions::reference_kernels — so the comparison includes span
-// resolution, exactly what exec_vec pays per instruction.
+// A synthetic program that loops VEC_ADD8 + VEC_QUANT over a large buffer,
+// so the number includes operand resolution, exactly what exec_vec pays per
+// instruction.
 
 arch::ArchConfig vec_exec_arch() {
   arch::ChipParams chip;
@@ -223,12 +199,10 @@ isa::Program vec_exec_program() {
 }
 
 void BM_VecExec(benchmark::State& state) {
-  const bool reference = state.range(0) != 0;
   const arch::ArchConfig arch = vec_exec_arch();
   const isa::Program program = vec_exec_program();
   sim::SimOptions options;
   options.functional = true;
-  options.reference_kernels = reference;
   std::int64_t elements = 0;
   for (auto _ : state) {
     sim::Simulator simulator(arch, options);
@@ -237,12 +211,10 @@ void BM_VecExec(benchmark::State& state) {
     elements = 64 * 2 * 4096;
   }
   state.SetItemsProcessed(state.iterations() * elements);
-  state.SetLabel(reference ? "reference" : "pointer");
 }
-BENCHMARK(BM_VecExec)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VecExec)->Unit(benchmark::kMillisecond);
 
-// The same synthetic VEC program through each registered SIMD tier (pointer
-// path only): what the saturating vec kernels buy end to end, span
+// The same synthetic VEC program through each registered SIMD tier: what the saturating vec kernels buy end to end, span
 // resolution included. Registered per tier from main() like the MVM sweep.
 void BM_VecExecTier(benchmark::State& state, sim::kernels::KernelTier tier) {
   const arch::ArchConfig arch = vec_exec_arch();

@@ -8,13 +8,10 @@
 //                                               # N workers (0 = all cores);
 //                                               # reports are byte-identical
 //                         [--kernels T]         # SIMD kernel tier: auto
-//                                               # (default)|scalar|avx2|neon,
+//                                               # (default)|scalar|avx2,
 //                                               # mirroring CIMFLOW_KERNELS;
 //                                               # byte-identical reports, only
 //                                               # wall clock moves
-//                         [--sync-window N]     # deprecated: the event-driven
-//                                               # simulator has no rendezvous
-//                                               # quantum (warn-and-ignore)
 //                         [--trace out.json]    # Chrome trace-event timeline of
 //                                               # the simulated run (one track
 //                                               # per core); never perturbs the
@@ -58,7 +55,10 @@
 // sweep (any thread count, cold or warm --cache-dir) writes identical bytes.
 //
 // Numeric flags are parsed strictly: "--batch 4x" or an empty list element
-// is an error naming the flag, never a silent truncation to 4.
+// is an error naming the flag, never a silent truncation to 4. Each
+// subcommand rejects options it does not read and stray words: "--stratgey
+// dp" is an error naming the option, never a silent run with the default
+// strategy.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -94,6 +94,7 @@ struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   std::set<std::string> bare;  ///< options given without a value (--validate)
+  std::vector<std::string> positional;  ///< stray words no option consumed
   bool flag(const std::string& name) const { return options.count(name) != 0; }
   std::string get(const std::string& name, const std::string& fallback) const {
     auto it = options.find(name);
@@ -121,7 +122,10 @@ Args parse_args(int argc, char** argv) {
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
+    if (key.rfind("--", 0) != 0) {
+      args.positional.push_back(key);
+      continue;
+    }
     key.erase(0, 2);
     const bool has_value = i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0;
     if (!has_value) args.bare.insert(key);
@@ -158,8 +162,8 @@ std::vector<std::int64_t> int_list_option(const Args& args, const std::string& n
 }
 
 /// Strict --kernels parse mirroring the CIMFLOW_KERNELS env override:
-/// auto (default) resolves to the best tier the host supports; scalar/avx2/
-/// neon pin a tier (an unavailable one fails at simulator construction).
+/// auto (default) resolves to the best tier the host supports; scalar/avx2
+/// pin a tier (an unavailable one fails at simulator construction).
 /// "--kernels avx512" is an error naming the flag, never a silent fallback.
 sim::kernels::KernelTier kernels_option(const Args& args) {
   try {
@@ -209,10 +213,8 @@ int usage() {
                "  --sim-threads N         shard each simulation across N workers\n"
                "                          (0 = all cores; byte-identical reports)\n"
                "  --kernels T             SIMD kernel tier: auto (default), scalar,\n"
-               "                          avx2, neon — mirrors CIMFLOW_KERNELS; every\n"
-               "                          tier produces byte-identical reports\n"
-               "  --sync-window N         deprecated, ignored (the event-driven\n"
-               "                          simulator has no rendezvous quantum)\n"
+               "                          avx2 — mirrors CIMFLOW_KERNELS; every tier\n"
+               "                          produces byte-identical reports\n"
                "  --log-level L           stderr verbosity: debug|info|warn|error|off\n"
                "                          (default warn; CIMFLOW_LOG env also works)\n"
                "  sweep    --strategy S   search strategy: grid (default), random, pareto\n"
@@ -248,15 +250,22 @@ void check_output_flags(const Args& args) {
   }
 }
 
-/// --sync-window died with the window scheduler: the event-driven simulator
-/// has no rendezvous quantum to tune. The flag still strict-parses its value
-/// (a typo'd number stays an error, never a silent acceptance), then warns
-/// and is ignored so existing scripts keep running with identical results.
-void warn_deprecated_sync_window(const Args& args) {
-  if (!args.flag("sync-window")) return;
-  (void)int_option(args, "sync-window", "0");
-  CIMFLOW_WARN() << "--sync-window is deprecated and ignored (the event-driven "
-                    "simulator has no rendezvous quantum)";
+/// Rejects every option the subcommand does not read (--log-level is
+/// global) and every stray word, so a typo, a removed flag or `describe
+/// micro` (for --model micro) fails loudly instead of running with defaults.
+void reject_unknown_options(const Args& args, std::set<std::string> known) {
+  if (!args.positional.empty()) {
+    raise(ErrorCode::kInvalidArgument,
+          "unexpected argument '" + args.positional.front() + "' for " + args.command +
+              " (options are written --name value)");
+  }
+  known.insert("log-level");
+  for (const auto& entry : args.options) {
+    if (known.count(entry.first) == 0) {
+      raise(ErrorCode::kInvalidArgument,
+            "unknown option --" + entry.first + " for " + args.command);
+    }
+  }
 }
 
 /// Builds a daemon request's params from the same flags and defaults the
@@ -282,7 +291,6 @@ Json client_params(const Args& args, const std::string& verb) {
     params["batch"] = Json(int_option(args, "batch", "8"));
     if (args.flag("validate")) params["validate"] = Json(true);
     params["sim_threads"] = Json(int_option(args, "sim-threads", "1"));
-    warn_deprecated_sync_window(args);
     return Json(std::move(params));
   }
   JsonArray mg, flit;
@@ -313,12 +321,21 @@ Json client_params(const Args& args, const std::string& verb) {
 /// stderr, and write the result payload exactly where the direct subcommand
 /// would (stdout, or --json). Exit 1 on a structured error event.
 int run_client(const Args& args) {
+  const std::string verb = args.value("verb", "evaluate");
+  std::set<std::string> known = {"socket", "verb", "json"};
+  if (verb == "evaluate") {
+    known.insert({"model", "input-hw", "arch", "strategy", "batch", "validate",
+                  "sim-threads"});
+  } else if (verb == "sweep" || verb == "search") {
+    known.insert({"model", "input-hw", "arch", "mg", "flit", "strategies", "batch",
+                  "budget", "sim-threads", "threads", "objectives", "strategy"});
+  }
+  reject_unknown_options(args, std::move(known));
   check_output_flags(args);
   const std::string socket_path = args.path("socket");
   if (socket_path.empty()) {
     raise(ErrorCode::kInvalidArgument, "client requires --socket PATH");
   }
-  const std::string verb = args.value("verb", "evaluate");
   JsonObject request;
   request["id"] = Json(std::int64_t{1});
   request["verb"] = Json(verb);
@@ -415,11 +432,13 @@ int main(int argc, char** argv) {
       log::set_threshold(log::level_from_string(args.value("log-level", "warn")));
     }
     if (args.command == "arch") {
+      reject_unknown_options(args, {"arch"});
       std::printf("%s\n%s\n", load_arch(args).summary().c_str(),
                   load_arch(args).to_json().dump().c_str());
       return 0;
     }
     if (args.command == "describe") {
+      reject_unknown_options(args, {"model", "model-file", "input-hw", "save"});
       const graph::Graph model = load_model(args);
       std::printf("%s\n", model.summary().c_str());
       const std::string text = graph::save_text(model, 0x51AF);
@@ -432,6 +451,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (args.command == "plan") {
+      reject_unknown_options(
+          args, {"model", "model-file", "input-hw", "arch", "strategy", "batch"});
       const graph::Graph model = load_model(args);
       Flow flow(load_arch(args));
       FlowOptions options;
@@ -447,6 +468,10 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (args.command == "sweep") {
+      reject_unknown_options(
+          args, {"model", "model-file", "input-hw", "arch", "mg", "flit", "strategies",
+                 "batch", "budget", "cache-dir", "cache-max-bytes", "objectives",
+                 "threads", "sim-threads", "kernels", "strategy", "json", "csv"});
       check_output_flags(args);
       const graph::Graph model = load_model(args);
       search::SearchJob job;
@@ -505,6 +530,8 @@ int main(int argc, char** argv) {
       return result.stats.evaluated > 0 ? 0 : 1;
     }
     if (args.command == "serve") {
+      reject_unknown_options(args, {"socket", "workers", "queue", "cache-dir",
+                                    "cache-max-bytes", "decode-lru", "kernels"});
       service::DaemonOptions dopt;
       dopt.socket_path = args.path("socket");
       if (dopt.socket_path.empty()) {
@@ -528,6 +555,9 @@ int main(int argc, char** argv) {
       return run_client(args);
     }
     if (args.command == "evaluate") {
+      reject_unknown_options(args, {"model", "model-file", "input-hw", "arch", "strategy",
+                                    "batch", "validate", "sim-threads", "kernels",
+                                    "trace", "json"});
       check_output_flags(args);
       const graph::Graph model = load_model(args);
       Flow flow(load_arch(args));
@@ -538,7 +568,6 @@ int main(int argc, char** argv) {
       options.eval.sim_threads = int_option(args, "sim-threads", "1");
       options.eval.kernel_tier = kernels_option(args);
       options.trace_path = args.flag("trace") ? args.path("trace") : "";
-      warn_deprecated_sync_window(args);
       const EvaluationReport report = flow.evaluate(model, options);
       std::printf("%s\n", report.summary().c_str());
       for (const trace::PhaseTiming& phase : report.phase_timings) {

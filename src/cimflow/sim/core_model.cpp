@@ -26,17 +26,6 @@ std::int64_t sreg_i(const std::array<std::int32_t, 32>& sregs, SReg r) {
   return sregs[static_cast<std::size_t>(r)];
 }
 
-/// Whether [p, p+plen) and [q, q+qlen) share no byte. The dispatched vector
-/// kernels process whole chunks, which is only equivalent to the
-/// element-ordered inline loops when the destination either exactly aliases
-/// a same-width source (a chunk then reads its own bytes before writing
-/// them) or overlaps no source byte at all — partial overlap keeps the
-/// element loop.
-bool disjoint(const std::uint8_t* p, std::int64_t plen, const std::uint8_t* q,
-              std::int64_t qlen) {
-  return p + plen <= q || q + qlen <= p;
-}
-
 }  // namespace
 
 /// CustomExecContext adapter for user-registered instructions (core-local
@@ -100,7 +89,7 @@ void CoreModel::reset(const CoreContext& context, std::int64_t core_id,
   } else {
     mg_weights_.clear();
   }
-  scratch_.clear();
+  for (AlignedBuffer<std::uint8_t>& buffer : bounce_) buffer.clear();
   mvm_row_.clear();
   row_scratch_.clear();
   gr_write_.assign(
@@ -131,30 +120,6 @@ void CoreModel::check_span(std::uint32_t addr, std::int64_t len) {
              static_cast<std::uint64_t>(ctx_.global->size())) {
     fail(strprintf("global access out of range: addr=%u len=%lld", addr, (long long)len));
   }
-}
-
-bool CoreModel::span_in_range(std::uint32_t addr, std::int64_t len) const {
-  if (isa::is_local_address(addr)) {
-    return isa::local_offset(addr) + static_cast<std::uint64_t>(len) <= lmem_.size();
-  }
-  return addr + static_cast<std::uint64_t>(len) <=
-         static_cast<std::uint64_t>(ctx_.global->size());
-}
-
-const std::uint8_t* CoreModel::resolve_read(std::uint32_t addr, std::int64_t len) {
-  check_span(addr, len);
-  if (isa::is_local_address(addr)) return lmem_.data() + isa::local_offset(addr);
-  return ctx_.global->span_for_read(addr, len);
-}
-
-std::uint8_t* CoreModel::resolve_write(std::uint32_t addr, std::int64_t len) {
-  check_span(addr, len);
-  if (isa::is_local_address(addr)) return lmem_.data() + isa::local_offset(addr);
-  return ctx_.global->span_for_write(addr, len);
-}
-
-std::uint8_t* CoreModel::ensure_scratch(std::int64_t len) {
-  return scratch_.ensure(static_cast<std::size_t>(len));
 }
 
 std::uint8_t CoreModel::load_u8(std::uint32_t addr) {
@@ -213,8 +178,7 @@ void CoreModel::copy_bytes(std::uint32_t dst, std::uint32_t src, std::int64_t le
   } else {
     // Global-to-global bounces through the core scratch so overlapping
     // regions keep memmove semantics.
-    std::uint8_t* bounce = ensure_scratch(len);
-    ctx_.global->read_bytes(src, len, bounce);
+    std::uint8_t* bounce = gather(src, len, kSlotA);
     ctx_.global->write_bytes(dst, bounce, len);
   }
 }
@@ -248,163 +212,143 @@ void CoreModel::mem_dep_finish(std::uint32_t addr, std::int64_t len, bool is_wri
 }
 
 // ============================================================================
-// functional kernels — pointer-resolved fast paths
+// functional kernels — one path per op
 // ============================================================================
 //
-// Every kernel resolves its operand spans once (destination first, so a
-// copy-on-write page the op is about to dirty is materialized before source
-// spans are pinned — a source overlapping it then reads the page, exactly as
-// the byte-routed path would). Any span the image cannot pin as one
-// contiguous pointer sends the whole op to the *_ref twin, which handles
-// every layout byte by byte. Loops stay element-ordered (no memmove
-// shortcuts over possibly-overlapping operands), so fast and ref paths are
-// byte-equivalent even for aliased operands.
+// Every op resolves its operands once and then runs the dispatched
+// KernelTable entry (or its single inline loop) over raw pointers. The
+// destination is resolved first, so a copy-on-write page the op is about to
+// dirty is materialized before any source is pinned. The operand rule:
+//   * a span the image cannot pin as one contiguous pointer (a 64 KB page
+//     straddle, the beyond-base zero region) is gathered into per-slot
+//     scratch with read_bytes; an unpinnable destination is gathered too
+//     (VEC_ROWSUM32 and accumulating MVMs read it) and written back with
+//     write_bytes;
+//   * a source whose simulated address range overlaps the destination is
+//     copied in first, so every op reads its sources as they were before it
+//     issued — except an elementwise op's same-width exact alias (dst ==
+//     src), which stays in place: byte-equivalent, and what the kernels
+//     support (see KernelTable);
+//   * the VEC_LUT8 table is a 256-byte operand like any other.
+// The scalar KernelTable is therefore the one reference semantics; the SIMD
+// tiers are differentially tested against it.
+
+std::uint8_t* CoreModel::gather(std::uint32_t addr, std::int64_t len, Slot slot) {
+  std::uint8_t* buffer = bounce_[slot].ensure(static_cast<std::size_t>(len));
+  if (isa::is_local_address(addr)) {
+    std::memcpy(buffer, lmem_.data() + isa::local_offset(addr), static_cast<std::size_t>(len));
+  } else {
+    ctx_.global->read_bytes(addr, len, buffer);
+  }
+  return buffer;
+}
+
+std::uint8_t* CoreModel::pin_dst(std::uint32_t addr, std::int64_t len) {
+  check_span(addr, len);
+  std::uint8_t* data = isa::is_local_address(addr)
+                           ? lmem_.data() + isa::local_offset(addr)
+                           : ctx_.global->span_for_write(addr, len);
+  const bool gathered = data == nullptr;
+  if (gathered) data = gather(addr, len, kSlotDst);
+  dst_.addr = addr;
+  dst_.len = len;
+  dst_.data = data;
+  dst_.gathered = gathered;
+  return data;
+}
+
+const std::uint8_t* CoreModel::pin_src(std::uint32_t addr, std::int64_t len, Slot slot,
+                                       bool in_place) {
+  check_span(addr, len);
+  // Local and global addresses are partitioned by the MSB and spans never
+  // mix halves, so plain address-range intersection is the overlap test.
+  const std::uint64_t lo = addr, hi = lo + static_cast<std::uint64_t>(len);
+  const std::uint64_t dst_lo = dst_.addr,
+                      dst_hi = dst_lo + static_cast<std::uint64_t>(dst_.len);
+  if (lo < dst_hi && dst_lo < hi) {
+    if (in_place && lo == dst_lo && hi == dst_hi) return dst_.data;
+    return gather(addr, len, slot);
+  }
+  if (isa::is_local_address(addr)) return lmem_.data() + isa::local_offset(addr);
+  if (const std::uint8_t* span = ctx_.global->span_for_read(addr, len)) return span;
+  return gather(addr, len, slot);
+}
+
+void CoreModel::flush_dst() {
+  if (dst_.gathered) ctx_.global->write_bytes(dst_.addr, dst_.data, dst_.len);
+}
 
 void CoreModel::exec_vec(const DecodedInst& inst, std::int64_t n) {
-  if (ctx_.options->reference_kernels) return exec_vec_ref(inst, n);
   if (n <= 0) return;
   const auto funct = static_cast<VecFunct>(inst.funct);
-  const auto dst_addr = static_cast<std::uint32_t>(regs_[inst.rd]);
   const auto a_addr = static_cast<std::uint32_t>(regs_[inst.rs]);
   const auto b_addr = static_cast<std::uint32_t>(regs_[inst.rt]);
   const int shift = static_cast<int>(sreg_i(sregs_, SReg::kQuantShift));
   const auto zero = static_cast<std::int32_t>(sreg_i(sregs_, SReg::kQuantZero));
 
-  std::uint8_t* dst = resolve_write(dst_addr, n * inst.vec_wr_scale);
-  if (dst == nullptr) return exec_vec_ref(inst, n);
-  auto read_a = [&](std::int64_t len) { return resolve_read(a_addr, len); };
+  std::uint8_t* dst = pin_dst(static_cast<std::uint32_t>(regs_[inst.rd]), n * inst.vec_wr_scale);
+  auto src_a = [&](std::int64_t len) { return pin_src(a_addr, len, kSlotA); };
+  auto src_b = [&](std::int64_t len) { return pin_src(b_addr, len, kSlotB); };
 
   switch (funct) {
     case VecFunct::kCopy8: {
-      const std::uint8_t* a = read_a(n);
-      if (a == nullptr) return exec_vec_ref(inst, n);
-      if (dst + n <= a || a + n <= dst) {
-        std::memcpy(dst, a, static_cast<std::size_t>(n));
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) dst[i] = a[i];
-      }
+      const std::uint8_t* a = src_a(n);
+      if (a != dst) std::memcpy(dst, a, static_cast<std::size_t>(n));
       break;
     }
     case VecFunct::kAdd8:
     case VecFunct::kSub8:
     case VecFunct::kMax8:
     case VecFunct::kMin8: {
-      const std::uint8_t* a = read_a(n);
-      const std::uint8_t* b = resolve_read(b_addr, n);
-      if (a == nullptr || b == nullptr) return exec_vec_ref(inst, n);
-      if ((dst == a || disjoint(dst, n, a, n)) &&
-          (dst == b || disjoint(dst, n, b, n))) {
-        switch (funct) {
-          case VecFunct::kAdd8: kt_->add8(dst, a, b, n); break;
-          case VecFunct::kSub8: kt_->sub8(dst, a, b, n); break;
-          case VecFunct::kMax8: kt_->max8(dst, a, b, n); break;
-          default: kt_->min8(dst, a, b, n); break;
-        }
-        break;
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto x = static_cast<std::int8_t>(a[i]);
-        const auto y = static_cast<std::int8_t>(b[i]);
-        std::int8_t out = 0;
-        switch (funct) {
-          case VecFunct::kAdd8: out = saturate_int8(static_cast<std::int32_t>(x) + y); break;
-          case VecFunct::kSub8: out = saturate_int8(static_cast<std::int32_t>(x) - y); break;
-          case VecFunct::kMax8: out = std::max(x, y); break;
-          default: out = std::min(x, y); break;
-        }
-        dst[i] = static_cast<std::uint8_t>(out);
+      const std::uint8_t* a = src_a(n);
+      const std::uint8_t* b = src_b(n);
+      switch (funct) {
+        case VecFunct::kAdd8: kt_->add8(dst, a, b, n); break;
+        case VecFunct::kSub8: kt_->sub8(dst, a, b, n); break;
+        case VecFunct::kMax8: kt_->max8(dst, a, b, n); break;
+        default: kt_->min8(dst, a, b, n); break;
       }
       break;
     }
-    case VecFunct::kRelu8: {
-      const std::uint8_t* a = read_a(n);
-      if (a == nullptr) return exec_vec_ref(inst, n);
-      if (dst == a || disjoint(dst, n, a, n)) {
-        kt_->relu8(dst, a, n);
-        break;
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        dst[i] = static_cast<std::uint8_t>(
-            std::max<std::int8_t>(static_cast<std::int8_t>(a[i]), 0));
-      }
+    case VecFunct::kRelu8:
+      kt_->relu8(dst, src_a(n), n);
       break;
-    }
-    case VecFunct::kFill8: {
-      const auto value = static_cast<std::uint8_t>(regs_[inst.rt] & 0xFF);
-      std::memset(dst, value, static_cast<std::size_t>(n));
+    case VecFunct::kFill8:
+      std::memset(dst, regs_[inst.rt] & 0xFF, static_cast<std::size_t>(n));
       break;
-    }
     case VecFunct::kAdd32:
     case VecFunct::kMax32: {
-      const std::uint8_t* a = read_a(4 * n);
-      const std::uint8_t* b = resolve_read(b_addr, 4 * n);
-      if (a == nullptr || b == nullptr) return exec_vec_ref(inst, n);
-      if ((dst == a || disjoint(dst, 4 * n, a, 4 * n)) &&
-          (dst == b || disjoint(dst, 4 * n, b, 4 * n))) {
-        if (funct == VecFunct::kAdd32) {
-          kt_->add32(dst, a, b, n);
-        } else {
-          kt_->max32(dst, a, b, n);
-        }
-        break;
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int32_t x = kernels::load_le32(a + 4 * i);
-        const std::int32_t y = kernels::load_le32(b + 4 * i);
-        kernels::store_le32(dst + 4 * i, funct == VecFunct::kAdd32
-                                             ? static_cast<std::int32_t>(
-                                                   static_cast<std::uint32_t>(x) +
-                                                   static_cast<std::uint32_t>(y))
-                                             : std::max(x, y));
+      const std::uint8_t* a = src_a(4 * n);
+      const std::uint8_t* b = src_b(4 * n);
+      if (funct == VecFunct::kAdd32) {
+        kt_->add32(dst, a, b, n);
+      } else {
+        kt_->max32(dst, a, b, n);
       }
       break;
     }
-    case VecFunct::kRelu32: {
-      const std::uint8_t* a = read_a(4 * n);
-      if (a == nullptr) return exec_vec_ref(inst, n);
-      if (dst == a || disjoint(dst, 4 * n, a, 4 * n)) {
-        kt_->relu32(dst, a, n);
-        break;
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        kernels::store_le32(dst + 4 * i, std::max(kernels::load_le32(a + 4 * i), 0));
-      }
+    case VecFunct::kRelu32:
+      kt_->relu32(dst, src_a(4 * n), n);
       break;
-    }
-    case VecFunct::kQuant: {
-      const std::uint8_t* a = read_a(4 * n);
-      if (a == nullptr) return exec_vec_ref(inst, n);
-      // Mixed-width (int32 in, int8 out): only a fully disjoint destination
-      // is chunk-safe.
-      if (disjoint(dst, n, a, 4 * n)) {
-        kt_->quant(dst, a, n, shift, zero);
-        break;
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int64_t acc = kernels::load_le32(a + 4 * i);
-        dst[i] = static_cast<std::uint8_t>(
-            saturate_int8(rounding_shift_right(acc, shift) + zero));
-      }
+    case VecFunct::kQuant:
+      kt_->quant(dst, src_a(4 * n), n, shift, zero);
       break;
-    }
     case VecFunct::kLut8: {
-      // The reference path bounds-checks only the LUT bytes actually
-      // indexed; pinning all 256 must therefore never be the thing that
-      // fails a run — a table that does not fit whole goes to the lazy path.
-      const auto lut_addr = static_cast<std::uint32_t>(sreg_i(sregs_, SReg::kLutBase));
-      if (!span_in_range(lut_addr, 256)) return exec_vec_ref(inst, n);
-      const std::uint8_t* a = read_a(n);
-      const std::uint8_t* lut = resolve_read(lut_addr, 256);
-      if (a == nullptr || lut == nullptr) return exec_vec_ref(inst, n);
+      const std::uint8_t* a = src_a(n);
+      const std::uint8_t* lut =
+          pin_src(static_cast<std::uint32_t>(sreg_i(sregs_, SReg::kLutBase)), 256, kSlotB,
+                  /*in_place=*/false);
       for (std::int64_t i = 0; i < n; ++i) dst[i] = lut[a[i]];
       break;
     }
     case VecFunct::kScaleCh8: {
       const std::int64_t channels = sreg_i(sregs_, SReg::kChannels);
-      if (channels <= 0) return exec_vec_ref(inst, n);
-      const std::uint8_t* a = read_a(n);
-      const std::uint8_t* b = resolve_read(b_addr, std::min(channels, n));
-      if (a == nullptr || b == nullptr) return exec_vec_ref(inst, n);
+      if (channels <= 0) {
+        fail(strprintf("core %lld VEC_SCALECH8: S_CHANNELS must be positive, got %lld",
+                       (long long)id, (long long)channels));
+      }
+      const std::uint8_t* a = src_a(n);
+      const std::uint8_t* b = src_b(std::min(channels, n));
       for (std::int64_t i = 0; i < n; ++i) {
         const std::int64_t product = static_cast<std::int64_t>(static_cast<std::int8_t>(a[i])) *
                                      static_cast<std::int8_t>(b[i % channels]);
@@ -414,82 +358,40 @@ void CoreModel::exec_vec(const DecodedInst& inst, std::int64_t n) {
       break;
     }
     case VecFunct::kCopy32: {
-      const std::uint8_t* a = read_a(4 * n);
-      if (a == nullptr) return exec_vec_ref(inst, n);
-      if (dst + 4 * n <= a || a + 4 * n <= dst) {
-        std::memcpy(dst, a, static_cast<std::size_t>(4 * n));
-      } else {
-        for (std::int64_t i = 0; i < n; ++i) {
-          kernels::store_le32(dst + 4 * i, kernels::load_le32(a + 4 * i));
-        }
-      }
+      const std::uint8_t* a = src_a(4 * n);
+      if (a != dst) std::memcpy(dst, a, static_cast<std::size_t>(4 * n));
       break;
     }
-    case VecFunct::kFill32: {
+    case VecFunct::kFill32:
       for (std::int64_t i = 0; i < n; ++i) kernels::store_le32(dst + 4 * i, regs_[inst.rt]);
       break;
-    }
-    case VecFunct::kDeq8To32: {
-      const std::uint8_t* a = read_a(n);
-      if (a == nullptr) return exec_vec_ref(inst, n);
-      if (disjoint(dst, 4 * n, a, n)) {
-        kt_->deq8to32(dst, a, n);
-        break;
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        kernels::store_le32(dst + 4 * i, static_cast<std::int8_t>(a[i]));
-      }
+    case VecFunct::kDeq8To32:
+      kt_->deq8to32(dst, src_a(n), n);
       break;
-    }
     case VecFunct::kAdd8To32: {
-      const std::uint8_t* a = read_a(4 * n);
-      const std::uint8_t* b = resolve_read(b_addr, n);
-      if (a == nullptr || b == nullptr) return exec_vec_ref(inst, n);
-      if ((dst == a || disjoint(dst, 4 * n, a, 4 * n)) &&
-          disjoint(dst, 4 * n, b, n)) {
-        kt_->add8to32(dst, a, b, n);
-        break;
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        kernels::store_le32(dst + 4 * i,
-                            static_cast<std::int32_t>(
-                                static_cast<std::uint32_t>(kernels::load_le32(a + 4 * i)) +
-                                static_cast<std::uint32_t>(
-                                    static_cast<std::int8_t>(b[i]))));
-      }
+      const std::uint8_t* a = src_a(4 * n);
+      kt_->add8to32(dst, a, src_b(n), n);
       break;
     }
     case VecFunct::kRowSum32: {
       const std::int64_t pixels = sreg_i(sregs_, SReg::kPoolWin);
       if (pixels <= 0) break;  // acc = read + write-back of the same values
-      const std::uint8_t* a = read_a(n * pixels);
-      if (a == nullptr) return exec_vec_ref(inst, n);
-      if (disjoint(dst, 4 * n, a, n * pixels)) {
-        // Channel-row accumulation in an int32 scratch row: the original
-        // per-column int64 sums truncate to int32 at store time, which is
-        // exactly mod-2^32 wraparound — the same result rowadd8_i32's uint32
-        // adds produce, one vectorized pass per window row.
-        std::int32_t* acc = mvm_row_.ensure(static_cast<std::size_t>(n));
-        kernels::load_le32_row(acc, dst, n);
-        for (std::int64_t q = 0; q < pixels; ++q) {
-          kt_->rowadd8_i32(acc, a + q * n, n);
-        }
-        kernels::store_le32_row(dst, acc, n);
-        break;
-      }
-      for (std::int64_t c = 0; c < n; ++c) {
-        std::int64_t acc = kernels::load_le32(dst + 4 * c);
-        for (std::int64_t q = 0; q < pixels; ++q) {
-          acc += static_cast<std::int8_t>(a[q * n + c]);
-        }
-        kernels::store_le32(dst + 4 * c, static_cast<std::int32_t>(acc));
-      }
+      // Not elementwise (each int32 sums a whole pixel column), so an exact
+      // alias is copied in too.
+      const std::uint8_t* a = pin_src(a_addr, n * pixels, kSlotA, /*in_place=*/false);
+      // Channel-row accumulation in an int32 scratch row: per-column int64
+      // sums truncated to int32 at store time are exactly mod-2^32
+      // wraparound — what rowadd8_i32's uint32 adds produce, one vectorized
+      // pass per window row.
+      std::int32_t* acc = mvm_row_.ensure(static_cast<std::size_t>(n));
+      kernels::load_le32_row(acc, dst, n);
+      for (std::int64_t q = 0; q < pixels; ++q) kt_->rowadd8_i32(acc, a + q * n, n);
+      kernels::store_le32_row(dst, acc, n);
       break;
     }
     case VecFunct::kDivRound8: {
       const std::int64_t divisor = std::max<std::int64_t>(1, sreg_i(sregs_, SReg::kAux1));
-      const std::uint8_t* a = read_a(4 * n);
-      if (a == nullptr) return exec_vec_ref(inst, n);
+      const std::uint8_t* a = src_a(4 * n);
       for (std::int64_t i = 0; i < n; ++i) {
         const std::int64_t sum = kernels::load_le32(a + 4 * i);
         const std::int64_t rounded = sum >= 0 ? (sum + divisor / 2) / divisor
@@ -499,270 +401,80 @@ void CoreModel::exec_vec(const DecodedInst& inst, std::int64_t n) {
       break;
     }
   }
-}
-
-void CoreModel::exec_vec_ref(const DecodedInst& inst, std::int64_t n) {
-  const auto funct = static_cast<VecFunct>(inst.funct);
-  const auto dst = static_cast<std::uint32_t>(regs_[inst.rd]);
-  const auto a = static_cast<std::uint32_t>(regs_[inst.rs]);
-  const auto b = static_cast<std::uint32_t>(regs_[inst.rt]);
-  auto rd8 = [&](std::uint32_t base, std::int64_t i) {
-    return static_cast<std::int8_t>(load_u8(base + static_cast<std::uint32_t>(i)));
-  };
-  auto wr8 = [&](std::uint32_t base, std::int64_t i, std::int8_t v) {
-    store_u8(base + static_cast<std::uint32_t>(i), static_cast<std::uint8_t>(v));
-  };
-  const int shift = static_cast<int>(sreg_i(sregs_, SReg::kQuantShift));
-  const auto zero = static_cast<std::int32_t>(sreg_i(sregs_, SReg::kQuantZero));
-  switch (funct) {
-    case VecFunct::kCopy8:
-      for (std::int64_t i = 0; i < n; ++i) wr8(dst, i, rd8(a, i));
-      break;
-    case VecFunct::kAdd8:
-      for (std::int64_t i = 0; i < n; ++i) {
-        wr8(dst, i, saturate_int8(static_cast<std::int32_t>(rd8(a, i)) + rd8(b, i)));
-      }
-      break;
-    case VecFunct::kSub8:
-      for (std::int64_t i = 0; i < n; ++i) {
-        wr8(dst, i, saturate_int8(static_cast<std::int32_t>(rd8(a, i)) - rd8(b, i)));
-      }
-      break;
-    case VecFunct::kMax8:
-      for (std::int64_t i = 0; i < n; ++i) wr8(dst, i, std::max(rd8(a, i), rd8(b, i)));
-      break;
-    case VecFunct::kMin8:
-      for (std::int64_t i = 0; i < n; ++i) wr8(dst, i, std::min(rd8(a, i), rd8(b, i)));
-      break;
-    case VecFunct::kRelu8:
-      for (std::int64_t i = 0; i < n; ++i) wr8(dst, i, std::max<std::int8_t>(rd8(a, i), 0));
-      break;
-    case VecFunct::kFill8: {
-      const auto value = static_cast<std::int8_t>(regs_[inst.rt] & 0xFF);
-      for (std::int64_t i = 0; i < n; ++i) wr8(dst, i, value);
-      break;
-    }
-    case VecFunct::kAdd32:
-      for (std::int64_t i = 0; i < n; ++i) {
-        write_i32(dst + static_cast<std::uint32_t>(4 * i),
-                  read_i32(a + static_cast<std::uint32_t>(4 * i)) +
-                      read_i32(b + static_cast<std::uint32_t>(4 * i)));
-      }
-      break;
-    case VecFunct::kMax32:
-      for (std::int64_t i = 0; i < n; ++i) {
-        write_i32(dst + static_cast<std::uint32_t>(4 * i),
-                  std::max(read_i32(a + static_cast<std::uint32_t>(4 * i)),
-                           read_i32(b + static_cast<std::uint32_t>(4 * i))));
-      }
-      break;
-    case VecFunct::kRelu32:
-      for (std::int64_t i = 0; i < n; ++i) {
-        write_i32(dst + static_cast<std::uint32_t>(4 * i),
-                  std::max(read_i32(a + static_cast<std::uint32_t>(4 * i)), 0));
-      }
-      break;
-    case VecFunct::kQuant:
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int64_t acc = read_i32(a + static_cast<std::uint32_t>(4 * i));
-        wr8(dst, i, saturate_int8(rounding_shift_right(acc, shift) + zero));
-      }
-      break;
-    case VecFunct::kLut8: {
-      const auto lut = static_cast<std::uint32_t>(sreg_i(sregs_, SReg::kLutBase));
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::uint8_t>(rd8(a, i));
-        wr8(dst, i, static_cast<std::int8_t>(load_u8(lut + idx)));
-      }
-      break;
-    }
-    case VecFunct::kScaleCh8: {
-      const std::int64_t channels = sreg_i(sregs_, SReg::kChannels);
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int64_t product =
-            static_cast<std::int64_t>(rd8(a, i)) * rd8(b, i % channels);
-        wr8(dst, i, saturate_int8(rounding_shift_right(product, shift) + zero));
-      }
-      break;
-    }
-    case VecFunct::kCopy32:
-      for (std::int64_t i = 0; i < n; ++i) {
-        write_i32(dst + static_cast<std::uint32_t>(4 * i),
-                  read_i32(a + static_cast<std::uint32_t>(4 * i)));
-      }
-      break;
-    case VecFunct::kFill32:
-      for (std::int64_t i = 0; i < n; ++i) {
-        write_i32(dst + static_cast<std::uint32_t>(4 * i), regs_[inst.rt]);
-      }
-      break;
-    case VecFunct::kDeq8To32:
-      for (std::int64_t i = 0; i < n; ++i) {
-        write_i32(dst + static_cast<std::uint32_t>(4 * i), rd8(a, i));
-      }
-      break;
-    case VecFunct::kAdd8To32:
-      for (std::int64_t i = 0; i < n; ++i) {
-        write_i32(dst + static_cast<std::uint32_t>(4 * i),
-                  read_i32(a + static_cast<std::uint32_t>(4 * i)) + rd8(b, i));
-      }
-      break;
-    case VecFunct::kRowSum32: {
-      const std::int64_t pixels = sreg_i(sregs_, SReg::kPoolWin);
-      for (std::int64_t c = 0; c < n; ++c) {
-        std::int64_t acc = read_i32(dst + static_cast<std::uint32_t>(4 * c));
-        for (std::int64_t q = 0; q < pixels; ++q) acc += rd8(a, q * n + c);
-        write_i32(dst + static_cast<std::uint32_t>(4 * c), static_cast<std::int32_t>(acc));
-      }
-      break;
-    }
-    case VecFunct::kDivRound8: {
-      const std::int64_t divisor = std::max<std::int64_t>(1, sreg_i(sregs_, SReg::kAux1));
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int64_t sum = read_i32(a + static_cast<std::uint32_t>(4 * i));
-        const std::int64_t rounded = sum >= 0 ? (sum + divisor / 2) / divisor
-                                              : -((-sum + divisor / 2) / divisor);
-        wr8(dst, i, saturate_int8(static_cast<std::int32_t>(rounded)));
-      }
-      break;
-    }
-  }
+  flush_dst();
 }
 
 void CoreModel::exec_pool(const DecodedInst& inst, std::int64_t out_w) {
-  if (ctx_.options->reference_kernels) return exec_pool_ref(inst, out_w);
+  if (out_w <= 0) return;
+  // step() has rejected non-positive window descriptors.
   const bool avg = inst.funct != 0;
-  const auto dst_addr = static_cast<std::uint32_t>(regs_[inst.rd]);
-  const auto src_addr = static_cast<std::uint32_t>(regs_[inst.rs]);
   const std::int64_t kh = sreg_i(sregs_, SReg::kPoolKh);
   const std::int64_t kw = sreg_i(sregs_, SReg::kPoolKw);
   const std::int64_t stride = sreg_i(sregs_, SReg::kPoolStride);
   const std::int64_t win = sreg_i(sregs_, SReg::kPoolWin);
   const std::int64_t channels = sreg_i(sregs_, SReg::kPoolChannels);
-  // Degenerate descriptors take the byte-routed path (it reproduces the
-  // historical behavior for them, whatever that is — e.g. kh <= 0 still
-  // writes the init value).
-  if (out_w <= 0 || kh <= 0 || kw <= 0 || channels <= 0 || stride < 0 || win < 0) {
-    return exec_pool_ref(inst, out_w);
-  }
   const std::int64_t src_extent =
       ((kh - 1) * win + (out_w - 1) * stride + (kw - 1)) * channels + channels;
-  std::uint8_t* dst = resolve_write(dst_addr, out_w * channels);
-  if (dst == nullptr) return exec_pool_ref(inst, out_w);
-  const std::uint8_t* src = resolve_read(src_addr, src_extent);
-  if (src == nullptr) return exec_pool_ref(inst, out_w);
+  std::uint8_t* dst = pin_dst(static_cast<std::uint32_t>(regs_[inst.rd]), out_w * channels);
+  // A pooling window is not elementwise, so any overlap is copied in, exact
+  // alias included.
+  const std::uint8_t* src = pin_src(static_cast<std::uint32_t>(regs_[inst.rs]), src_extent,
+                                    kSlotA, /*in_place=*/false);
   const std::int64_t area = kh * kw;
   // Channel-row reduction through the dispatched kernels: each (r, s) window
   // position contributes one contiguous `channels`-wide slice, so the whole
   // output pixel is kh*kw row reductions into a scratch row instead of a
-  // per-channel strided walk. Needs a disjoint destination (the strided loop
-  // below stays element-ordered for overlap) and, for avg, window areas whose
-  // int8 sums fit int32 exactly (|sum| <= 128 * area; the rounded divide
-  // needs the true signed sum, not a mod-2^32 wrap).
-  if (disjoint(dst, out_w * channels, src, src_extent) &&
-      (!avg || area <= (std::int64_t{1} << 23))) {
-    if (avg) {
-      std::int32_t* acc = mvm_row_.ensure(static_cast<std::size_t>(channels));
-      for (std::int64_t q = 0; q < out_w; ++q) {
-        const std::uint8_t* base = src + q * stride * channels;
-        std::memset(acc, 0, static_cast<std::size_t>(channels) * sizeof(std::int32_t));
-        for (std::int64_t r = 0; r < kh; ++r) {
-          for (std::int64_t s = 0; s < kw; ++s) {
-            kt_->rowadd8_i32(acc, base + (r * win + s) * channels, channels);
-          }
+  // per-channel strided walk. For avg that needs window areas whose int8
+  // sums fit int32 exactly (|sum| <= 128 * area; the rounded divide needs the
+  // true signed sum, not a mod-2^32 wrap) — larger windows sum in int64.
+  if (!avg) {
+    std::uint8_t* acc = row_scratch_.ensure(static_cast<std::size_t>(channels));
+    for (std::int64_t q = 0; q < out_w; ++q) {
+      const std::uint8_t* base = src + q * stride * channels;
+      std::memset(acc, 0x80, static_cast<std::size_t>(channels));  // -128 identity
+      for (std::int64_t r = 0; r < kh; ++r) {
+        for (std::int64_t s = 0; s < kw; ++s) {
+          kt_->rowmax8(acc, base + (r * win + s) * channels, channels);
         }
-        std::uint8_t* out_row = dst + q * channels;
+      }
+      std::memcpy(dst + q * channels, acc, static_cast<std::size_t>(channels));
+    }
+  } else {
+    auto round_div = [area](std::int64_t sum) {
+      const std::int64_t rounded =
+          sum >= 0 ? (sum + area / 2) / area : -((-sum + area / 2) / area);
+      return static_cast<std::uint8_t>(saturate_int8(static_cast<std::int32_t>(rounded)));
+    };
+    const bool fits_i32 = area <= (std::int64_t{1} << 23);
+    std::int32_t* acc = mvm_row_.ensure(static_cast<std::size_t>(channels));
+    for (std::int64_t q = 0; q < out_w; ++q) {
+      const std::uint8_t* base = src + q * stride * channels;
+      std::uint8_t* out_row = dst + q * channels;
+      if (!fits_i32) {
         for (std::int64_t c = 0; c < channels; ++c) {
-          const std::int64_t sum = acc[c];
-          const std::int64_t rounded =
-              sum >= 0 ? (sum + area / 2) / area : -((-sum + area / 2) / area);
-          out_row[c] = static_cast<std::uint8_t>(
-              saturate_int8(static_cast<std::int32_t>(rounded)));
-        }
-      }
-    } else {
-      std::uint8_t* acc = row_scratch_.ensure(static_cast<std::size_t>(channels));
-      for (std::int64_t q = 0; q < out_w; ++q) {
-        const std::uint8_t* base = src + q * stride * channels;
-        std::memset(acc, 0x80, static_cast<std::size_t>(channels));  // -128 identity
-        for (std::int64_t r = 0; r < kh; ++r) {
-          for (std::int64_t s = 0; s < kw; ++s) {
-            kt_->rowmax8(acc, base + (r * win + s) * channels, channels);
+          std::int64_t sum = 0;
+          for (std::int64_t r = 0; r < kh; ++r) {
+            for (std::int64_t s = 0; s < kw; ++s) {
+              sum += static_cast<std::int8_t>(base[(r * win + s) * channels + c]);
+            }
           }
+          out_row[c] = round_div(sum);
         }
-        std::memcpy(dst + q * channels, acc, static_cast<std::size_t>(channels));
+        continue;
       }
-    }
-    return;
-  }
-  for (std::int64_t q = 0; q < out_w; ++q) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      std::int64_t acc = avg ? 0 : -128;
-      for (std::int64_t r = 0; r < kh; ++r) {
-        const std::uint8_t* row = src + (r * win + q * stride) * channels + c;
-        for (std::int64_t s = 0; s < kw; ++s) {
-          const auto v = static_cast<std::int8_t>(row[s * channels]);
-          if (avg) {
-            acc += v;
-          } else {
-            acc = std::max<std::int64_t>(acc, v);
-          }
-        }
-      }
-      std::int8_t out;
-      if (avg) {
-        const std::int64_t rounded =
-            acc >= 0 ? (acc + area / 2) / area : -((-acc + area / 2) / area);
-        out = saturate_int8(static_cast<std::int32_t>(rounded));
-      } else {
-        out = static_cast<std::int8_t>(acc);
-      }
-      dst[q * channels + c] = static_cast<std::uint8_t>(out);
-    }
-  }
-}
-
-void CoreModel::exec_pool_ref(const DecodedInst& inst, std::int64_t out_w) {
-  const bool avg = inst.funct != 0;
-  const auto dst = static_cast<std::uint32_t>(regs_[inst.rd]);
-  const auto src = static_cast<std::uint32_t>(regs_[inst.rs]);
-  const std::int64_t kh = sreg_i(sregs_, SReg::kPoolKh);
-  const std::int64_t kw = sreg_i(sregs_, SReg::kPoolKw);
-  const std::int64_t stride = sreg_i(sregs_, SReg::kPoolStride);
-  const std::int64_t win = sreg_i(sregs_, SReg::kPoolWin);
-  const std::int64_t channels = sreg_i(sregs_, SReg::kPoolChannels);
-  const std::int64_t area = kh * kw;
-  for (std::int64_t q = 0; q < out_w; ++q) {
-    for (std::int64_t c = 0; c < channels; ++c) {
-      std::int64_t acc = avg ? 0 : -128;
+      std::memset(acc, 0, static_cast<std::size_t>(channels) * sizeof(std::int32_t));
       for (std::int64_t r = 0; r < kh; ++r) {
         for (std::int64_t s = 0; s < kw; ++s) {
-          const std::int64_t idx = (r * win + q * stride + s) * channels + c;
-          const auto v =
-              static_cast<std::int8_t>(load_u8(src + static_cast<std::uint32_t>(idx)));
-          if (avg) {
-            acc += v;
-          } else {
-            acc = std::max<std::int64_t>(acc, v);
-          }
+          kt_->rowadd8_i32(acc, base + (r * win + s) * channels, channels);
         }
       }
-      std::int8_t out;
-      if (avg) {
-        const std::int64_t rounded =
-            acc >= 0 ? (acc + area / 2) / area : -((-acc + area / 2) / area);
-        out = saturate_int8(static_cast<std::int32_t>(rounded));
-      } else {
-        out = static_cast<std::int8_t>(acc);
-      }
-      store_u8(dst + static_cast<std::uint32_t>(q * channels + c),
-               static_cast<std::uint8_t>(out));
+      for (std::int64_t c = 0; c < channels; ++c) out_row[c] = round_div(acc[c]);
     }
   }
+  flush_dst();
 }
 
 void CoreModel::exec_mvm(const DecodedInst& inst, std::int64_t rows, std::int64_t cols) {
-  if (ctx_.options->reference_kernels) return exec_mvm_ref(inst, rows, cols);
   const auto in = static_cast<std::uint32_t>(regs_[inst.rs]);
   const auto out = static_cast<std::uint32_t>(regs_[inst.rt]);
   const std::int64_t mg = regs_[inst.re];
@@ -772,84 +484,21 @@ void CoreModel::exec_mvm(const DecodedInst& inst, std::int64_t rows, std::int64_
 
   check_span(in, rows);
   if (cols <= 0) return;
-  check_span(out, cols * 4);
-
-  // Overlapping input/output ranges (never emitted by the compiler — psums
-  // live apart from activations) would observe different bytes here than
-  // under the reference's column-by-column read-modify-write interleaving:
-  // this kernel consumes the whole input before flushing. Route them to the
-  // reference so fast and byte-routed paths stay equivalent universally.
-  if (rows > 0 && isa::is_local_address(in) == isa::is_local_address(out)) {
-    const std::uint64_t in0 = in, in1 = in + static_cast<std::uint64_t>(rows);
-    const std::uint64_t out0 = out, out1 = out + static_cast<std::uint64_t>(cols) * 4;
-    if (in0 < out1 && out0 < in1) return exec_mvm_ref(inst, rows, cols);
-  }
-
-  // Output first (materializes the page it may share with the input), then
-  // the input span — falling back to a scratch bounce only when the global
-  // image cannot pin it.
-  std::uint8_t* out_span = resolve_write(out, cols * 4);
-  const std::uint8_t* input = nullptr;
-  if (rows > 0) {
-    input = resolve_read(in, rows);
-    if (input == nullptr) {
-      std::uint8_t* bounce = ensure_scratch(rows);
-      ctx_.global->read_bytes(in, rows, bounce);
-      input = bounce;
-    }
-  }
-
+  std::uint8_t* psum = pin_dst(out, cols * 4);
   // The register-blocked psum row: preloaded (accumulate) or zeroed, all
   // weight rows streamed through it, flushed with one store.
   std::int32_t* row = mvm_row_.ensure(static_cast<std::size_t>(cols));
   if (accumulate) {
-    if (out_span != nullptr) {
-      kernels::load_le32_row(row, out_span, cols);
-    } else {
-      std::uint8_t* staging = row_scratch_.ensure(static_cast<std::size_t>(cols * 4));
-      ctx_.global->read_bytes(out, cols * 4, staging);
-      kernels::load_le32_row(row, staging, cols);
-    }
+    kernels::load_le32_row(row, psum, cols);
   } else {
     std::fill(row, row + cols, 0);
   }
-  if (rows > 0) kt_->mvm_accumulate(row, input, weights, rows, cols);
-  if (out_span != nullptr) {
-    kernels::store_le32_row(out_span, row, cols);
-  } else {
-    std::uint8_t* staging = row_scratch_.ensure(static_cast<std::size_t>(cols * 4));
-    kernels::store_le32_row(staging, row, cols);
-    ctx_.global->write_bytes(out, staging, cols * 4);
+  if (rows > 0) {
+    kt_->mvm_accumulate(row, pin_src(in, rows, kSlotA, /*in_place=*/false), weights, rows,
+                        cols);
   }
-}
-
-void CoreModel::exec_mvm_ref(const DecodedInst& inst, std::int64_t rows,
-                             std::int64_t cols) {
-  const auto in = static_cast<std::uint32_t>(regs_[inst.rs]);
-  const auto out = static_cast<std::uint32_t>(regs_[inst.rt]);
-  const std::int64_t mg = regs_[inst.re];
-  const bool accumulate = (inst.flags & 1) != 0;
-  const std::int8_t* weights =
-      reinterpret_cast<const std::int8_t*>(mg_weights_.data()) + mg * mg_tile_elems_;
-  const std::uint8_t* input;
-  check_span(in, rows);
-  if (isa::is_local_address(in)) {
-    input = lmem_.data() + isa::local_offset(in);
-  } else {
-    std::uint8_t* bounce = ensure_scratch(rows);
-    ctx_.global->read_bytes(in, rows, bounce);
-    input = bounce;
-  }
-  for (std::int64_t j = 0; j < cols; ++j) {
-    std::int64_t acc = 0;
-    for (std::int64_t i = 0; i < rows; ++i) {
-      acc += static_cast<std::int64_t>(static_cast<std::int8_t>(input[i])) *
-             weights[i * cols + j];
-    }
-    const auto addr = out + static_cast<std::uint32_t>(4 * j);
-    const std::int64_t prev = accumulate ? read_i32(addr) : 0;
-    write_i32(addr, static_cast<std::int32_t>(prev + acc));
-  }
+  kernels::store_le32_row(psum, row, cols);
+  flush_dst();
 }
 
 // ============================================================================
@@ -1067,6 +716,14 @@ bool CoreModel::step() {
         const std::int64_t kh = sreg_i(sregs_, SReg::kPoolKh);
         const std::int64_t kw = sreg_i(sregs_, SReg::kPoolKw);
         const std::int64_t channels = sreg_i(sregs_, SReg::kPoolChannels);
+        const std::int64_t stride = sreg_i(sregs_, SReg::kPoolStride);
+        const std::int64_t win = sreg_i(sregs_, SReg::kPoolWin);
+        if (kh <= 0 || kw <= 0 || channels <= 0 || stride <= 0 || win <= 0) {
+          fail(strprintf("core %lld VEC_POOL: window descriptor must be positive "
+                         "(kh=%lld kw=%lld stride=%lld win=%lld channels=%lld)",
+                         (long long)id, (long long)kh, (long long)kw, (long long)stride,
+                         (long long)win, (long long)channels));
+        }
         work = n * channels * kh * kw;
         rd_bytes = work;
         wr_bytes = n * channels;

@@ -55,8 +55,8 @@ struct CoreContext {
   /// Timeline sink, written only from the scheduler's serial phases; null
   /// when tracing is off (see SimOptions::trace_path).
   Timeline* timeline = nullptr;
-  /// Resolved kernel table (see kernels_dispatch.hpp) the fast exec paths
-  /// dispatch through; null defensively falls back to the scalar tier.
+  /// Resolved kernel table (see kernels_dispatch.hpp) the functional ops
+  /// dispatch through; null defensively selects the scalar tier.
   const kernels::KernelTable* kernels = nullptr;
 };
 
@@ -156,35 +156,34 @@ class CoreModel {
   void copy_bytes(std::uint32_t dst, std::uint32_t src, std::int64_t len);
   void check_span(std::uint32_t addr, std::int64_t len);
 
-  // Span resolution for the pointer kernels: bounds-check, then pin
-  // [addr, addr+len) to one contiguous pointer (local memory directly, global
-  // via GlobalImage's span API). nullptr = no contiguous view; the caller
-  // falls back to the byte-routed reference path. `len` must be > 0.
-  const std::uint8_t* resolve_read(std::uint32_t addr, std::int64_t len);
-  std::uint8_t* resolve_write(std::uint32_t addr, std::int64_t len);
-  /// Non-throwing bounds probe (the check_span predicate): used where a fast
-  /// path wants to pin MORE bytes than the reference path would lazily touch
-  /// — running past the end must route to the lazy path, not fail the run.
-  bool span_in_range(std::uint32_t addr, std::int64_t len) const;
-  /// Grow-only bounce buffer (never shrinks, so repeated global MVMs/copies
-  /// stop churning through resize + re-zeroing).
-  std::uint8_t* ensure_scratch(std::int64_t len);
+  // Operand resolution — the one memory rule every functional op follows
+  // (see the "functional kernels" block in core_model.cpp). pin_dst resolves
+  // the destination first and records it; pin_src then resolves each source
+  // against that destination; flush_dst writes a gathered destination back.
+  // A span the image cannot pin (a page straddle, the beyond-base zero
+  // region) is gathered into the slot's scratch with read_bytes, and so is a
+  // source that overlaps the destination — every op reads its sources as
+  // they were before it issued. `in_place` lets an elementwise op's source
+  // that exactly aliases the destination (same address, same length) run in
+  // place, which is byte-equivalent to copying it in. Ranges are
+  // bounds-checked first (a structured Error via fail()); `len` must be > 0.
+  enum Slot : std::uint8_t { kSlotDst, kSlotA, kSlotB, kSlotCount };
+  std::uint8_t* gather(std::uint32_t addr, std::int64_t len, Slot slot);
+  std::uint8_t* pin_dst(std::uint32_t addr, std::int64_t len);
+  const std::uint8_t* pin_src(std::uint32_t addr, std::int64_t len, Slot slot,
+                              bool in_place = true);
+  void flush_dst();
 
   std::int64_t mem_dep_start(std::uint32_t addr, std::int64_t len, bool is_write,
                              std::int64_t start) const;
   void mem_dep_finish(std::uint32_t addr, std::int64_t len, bool is_write,
                       std::int64_t done);
 
-  // Functional kernels: each op resolves its operand spans once and runs the
-  // pointer kernel; the retained *_ref twins are the seed-era byte-routed
-  // implementations — the fallback when a span cannot be pinned, and the
-  // oracle behind SimOptions::reference_kernels differential testing.
+  // Functional kernels: resolve operands, then run the dispatched
+  // KernelTable entry or the op's single inline loop.
   void exec_vec(const DecodedInst& inst, std::int64_t n);
-  void exec_vec_ref(const DecodedInst& inst, std::int64_t n);
   void exec_pool(const DecodedInst& inst, std::int64_t out_w);
-  void exec_pool_ref(const DecodedInst& inst, std::int64_t out_w);
   void exec_mvm(const DecodedInst& inst, std::int64_t rows, std::int64_t cols);
-  void exec_mvm_ref(const DecodedInst& inst, std::int64_t rows, std::int64_t cols);
 
   CoreContext ctx_;
   const std::vector<isa::Instruction>* code_ = nullptr;
@@ -209,9 +208,16 @@ class CoreModel {
   const kernels::KernelTable* kt_ = nullptr;
   // Grow-only 64-byte-aligned scratch (see AlignedBuffer): the vector tiers
   // run their dominant-case aligned accesses against these bases.
-  AlignedBuffer<std::uint8_t> scratch_;    ///< bounce buffer for global reads
+  std::array<AlignedBuffer<std::uint8_t>, kSlotCount> bounce_;  ///< gathered operands
   AlignedBuffer<std::int32_t> mvm_row_;    ///< register-blocked MVM psum row
-  AlignedBuffer<std::uint8_t> row_scratch_;  ///< psum-row byte staging
+  AlignedBuffer<std::uint8_t> row_scratch_;  ///< max-pool channel row
+  /// The destination of the op in flight (set by pin_dst).
+  struct {
+    std::uint32_t addr = 0;
+    std::int64_t len = 0;
+    std::uint8_t* data = nullptr;
+    bool gathered = false;
+  } dst_;
 
   // Local-memory dependency granules.
   std::vector<std::int64_t> gr_write_;

@@ -25,7 +25,7 @@ void mvm_accumulate(std::int32_t* acc, const std::uint8_t* in, const std::int8_t
   // The row loop streams the weight matrix exactly once, in storage order.
   // All arithmetic is unsigned (wrap-defined); int8*int8 products fit in
   // int32, and the final uint32 value is the mod-2^32 truncation of the
-  // reference's int64 sum.
+  // exact int64 sum.
   auto* uacc = reinterpret_cast<std::uint32_t*>(acc);
   for (std::int64_t i = 0; i < rows; ++i) {
     const std::int32_t x = static_cast<std::int8_t>(in[i]);
@@ -33,27 +33,6 @@ void mvm_accumulate(std::int32_t* acc, const std::uint8_t* in, const std::int8_t
     const std::int8_t* row = w + i * cols;
     for (std::int64_t j = 0; j < cols; ++j) {
       uacc[j] += static_cast<std::uint32_t>(x * static_cast<std::int32_t>(row[j]));
-    }
-  }
-}
-
-void mvm_ref(std::uint8_t* out, const std::uint8_t* in, const std::int8_t* w,
-             std::int64_t rows, std::int64_t cols, bool accumulate) {
-  for (std::int64_t j = 0; j < cols; ++j) {
-    std::int64_t acc = 0;
-    for (std::int64_t i = 0; i < rows; ++i) {
-      acc += static_cast<std::int64_t>(static_cast<std::int8_t>(in[i])) * w[i * cols + j];
-    }
-    std::uint8_t* word = out + 4 * j;
-    // The seed interpreter's per-column read_i32/write_i32 byte swizzle.
-    std::uint32_t prev = 0;
-    if (accumulate) {
-      for (int b = 0; b < 4; ++b) prev |= static_cast<std::uint32_t>(word[b]) << (8 * b);
-    }
-    const auto value = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(static_cast<std::int32_t>(prev)) + acc);
-    for (int b = 0; b < 4; ++b) {
-      word[b] = static_cast<std::uint8_t>((value >> (8 * b)) & 0xFF);
     }
   }
 }

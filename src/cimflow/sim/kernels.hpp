@@ -3,17 +3,11 @@
 // routing (check_span + local/global branch per element) happens once per
 // instruction instead of once per byte.
 //
-// Two implementations of the MVM kernel live here on purpose:
-//   * `mvm_accumulate` — the new blocked kernel: weights stream row-major
-//     (contiguous, prefetch-friendly), the output column accumulates in a
-//     register-resident int32 scratch row, zero input bytes skip their whole
-//     weight row;
-//   * `mvm_ref` — the retained seed-era reference: column-strided weight
-//     walk with a per-column little-endian byte swizzle, exactly the
-//     arithmetic the old interpreter performed.
-// The reference is the oracle of the randomized differential tests and the
-// "old" side of the bench_micro_sim shape sweep; both produce bit-identical
-// output bytes (all arithmetic is mod 2^32, see the notes on each kernel).
+// `mvm_accumulate` is the MVM kernel: weights stream row-major (contiguous,
+// prefetch-friendly), the output column accumulates in a register-resident
+// int32 scratch row, zero input bytes skip their whole weight row. It is the
+// scalar tier's MVM entry (see kernels_dispatch.hpp), which the SIMD tiers
+// are differentially tested against.
 //
 // Everything here is endian-exact: the simulator's int32 memory format is
 // little-endian by definition (the old read_i32/write_i32 swizzle), and the
@@ -58,16 +52,9 @@ void store_le32_row(std::uint8_t* dst, const std::int32_t* src, std::int64_t n);
 /// acc[j] += sum_i in[i] * w[i*cols + j], weights streamed row-major. `acc`
 /// must hold `cols` int32 accumulators preloaded by the caller (zeros, or the
 /// prior psum in accumulate mode). Accumulation is mod 2^32 (unsigned
-/// internally — no signed-overflow UB), which matches the reference's
-/// int64-sum-then-truncate bit for bit.
+/// internally — no signed-overflow UB), i.e. an int64 dot product truncated
+/// to int32 bit for bit.
 void mvm_accumulate(std::int32_t* acc, const std::uint8_t* in, const std::int8_t* w,
                     std::int64_t rows, std::int64_t cols);
-
-/// The retained seed-era kernel: per output column, an int64 dot product over
-/// column-strided weights, then a little-endian read-modify-write of the
-/// 4-byte output word — the differential-test oracle and the
-/// microbenchmark's "old" side. `out` holds `4*cols` bytes.
-void mvm_ref(std::uint8_t* out, const std::uint8_t* in, const std::int8_t* w,
-             std::int64_t rows, std::int64_t cols, bool accumulate);
 
 }  // namespace cimflow::sim::kernels

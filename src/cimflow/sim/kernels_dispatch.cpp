@@ -1,8 +1,7 @@
 // Tier registry and runtime dispatch for the SIMD kernel layer (see
 // kernels_dispatch.hpp for the contract). The scalar table is assembled from
-// the shared inline bodies; the AVX2/NEON tables live in their own
-// translation units (per-file ISA flags) and register themselves through
-// avx2_table()/neon_table().
+// the shared inline bodies; the AVX2 table lives in its own translation
+// unit (per-file ISA flags) and registers itself through avx2_table().
 #include "cimflow/sim/kernels_dispatch.hpp"
 
 #include <cstdlib>
@@ -46,7 +45,6 @@ bool cpu_has_avx2() {
 
 KernelTier best_available() {
   if (tier_available(KernelTier::kAvx2)) return KernelTier::kAvx2;
-  if (tier_available(KernelTier::kNeon)) return KernelTier::kNeon;
   return KernelTier::kScalar;
 }
 
@@ -54,14 +52,13 @@ KernelTier best_available() {
   raise(ErrorCode::kInvalidArgument,
         std::string(via) + ": kernel tier '" + to_string(tier) +
             "' is not available on this host (available: scalar" +
-            (tier_available(KernelTier::kAvx2) ? ", avx2" : "") +
-            (tier_available(KernelTier::kNeon) ? ", neon" : "") + ")");
+            (tier_available(KernelTier::kAvx2) ? ", avx2" : "") + ")");
 }
 
 [[noreturn]] void raise_unknown(std::string_view text, const char* via) {
   raise(ErrorCode::kInvalidArgument,
         std::string(via) + ": unknown kernel tier '" + std::string(text) +
-            "' (expected auto, scalar, avx2, or neon)");
+            "' (expected auto, scalar, or avx2)");
 }
 
 }  // namespace
@@ -71,7 +68,6 @@ const char* to_string(KernelTier tier) {
     case KernelTier::kAuto: return "auto";
     case KernelTier::kScalar: return "scalar";
     case KernelTier::kAvx2: return "avx2";
-    case KernelTier::kNeon: return "neon";
   }
   return "auto";
 }
@@ -80,7 +76,6 @@ KernelTier tier_from_string(std::string_view text) {
   if (text == "auto") return KernelTier::kAuto;
   if (text == "scalar") return KernelTier::kScalar;
   if (text == "avx2") return KernelTier::kAvx2;
-  if (text == "neon") return KernelTier::kNeon;
   raise_unknown(text, "kernel tier");
 }
 
@@ -91,8 +86,6 @@ bool tier_available(KernelTier tier) {
       return true;
     case KernelTier::kAvx2:
       return avx2_table() != nullptr && cpu_has_avx2();
-    case KernelTier::kNeon:
-      return neon_table() != nullptr;
   }
   return false;
 }
@@ -100,7 +93,6 @@ bool tier_available(KernelTier tier) {
 std::vector<KernelTier> available_tiers() {
   std::vector<KernelTier> tiers{KernelTier::kScalar};
   if (tier_available(KernelTier::kAvx2)) tiers.push_back(KernelTier::kAvx2);
-  if (tier_available(KernelTier::kNeon)) tiers.push_back(KernelTier::kNeon);
   return tiers;
 }
 
@@ -117,8 +109,6 @@ KernelTier resolve_tier(KernelTier requested) {
         parsed = KernelTier::kScalar;
       } else if (std::string_view(env) == "avx2") {
         parsed = KernelTier::kAvx2;
-      } else if (std::string_view(env) == "neon") {
-        parsed = KernelTier::kNeon;
       } else {
         raise_unknown(env, "CIMFLOW_KERNELS");
       }
@@ -140,9 +130,6 @@ const KernelTable& kernel_table(KernelTier tier) {
     case KernelTier::kAvx2:
       CIMFLOW_CHECK(tier_available(tier), "avx2 kernel table requested on a non-AVX2 host");
       return *avx2_table();
-    case KernelTier::kNeon:
-      CIMFLOW_CHECK(tier_available(tier), "neon kernel table requested on a non-NEON host");
-      return *neon_table();
     case KernelTier::kAuto:
       break;
   }

@@ -7,16 +7,14 @@
 // ops, the widening/requantizing 32-bit ops, and the pooling row
 // reductions); each implementation tier fills the table once:
 //
-//   * kScalar — the portable loops, byte-for-byte the behavior the inline
-//     exec_vec/exec_pool loops always had (and the tier every other one is
-//     differentially tested against);
+//   * kScalar — the portable loops: the simulator's one reference semantics,
+//     which every other tier is differentially tested against;
 //   * kAvx2   — compiled in its own translation unit with -mavx2 (see
 //     kernels_avx2.cpp), selected only after a CPUID probe, so the binary
-//     stays runnable on baseline x86-64 hosts;
-//   * kNeon   — aarch64 NEON (baseline on that ISA, no probe needed).
+//     stays runnable on baseline x86-64 hosts.
 //
 // Tier selection: SimOptions::kernel_tier (kAuto by default) resolves via
-// resolve_tier() — the CIMFLOW_KERNELS=scalar|avx2|neon environment override
+// resolve_tier() — the CIMFLOW_KERNELS=scalar|avx2 environment override
 // is strict-parsed first, then the best available tier wins. Requesting a
 // tier the host lacks raises Error(kInvalidArgument): differential tests
 // skip unavailable tiers instead of silently testing the wrong code.
@@ -40,7 +38,6 @@ enum class KernelTier : std::uint8_t {
   kAuto = 0,    ///< resolve at simulator construction (env override + probe)
   kScalar = 1,  ///< portable loops — always available
   kAvx2 = 2,    ///< x86-64 AVX2 (runtime CPUID-gated)
-  kNeon = 3,    ///< aarch64 NEON (baseline on that ISA)
 };
 
 /// The dispatched hot kernels. All pointers are non-null in every registered
@@ -48,8 +45,8 @@ enum class KernelTier : std::uint8_t {
 /// int32 memory format), int8 operands are raw bytes reinterpreted signed.
 /// Every kernel tolerates unaligned pointers (the 64-byte-aligned buffers
 /// make alignment the dominant case, not a requirement) and n == 0.
-/// Operands must not partially overlap — callers fall back to the
-/// element-ordered inline loops for aliased layouts (see exec_vec).
+/// Operands must not partially overlap — the simulator copies an overlapping
+/// source in before dispatching (see the operand rule in core_model.cpp).
 struct KernelTable {
   /// acc[j] += sum_i in[i] * w[i*cols + j] (mod 2^32), weights row-major.
   void (*mvm_accumulate)(std::int32_t* acc, const std::uint8_t* in,
@@ -87,7 +84,7 @@ struct KernelTable {
   void (*rowadd8_i32)(std::int32_t* acc, const std::uint8_t* src, std::int64_t n);
 };
 
-/// "auto", "scalar", "avx2", "neon".
+/// "auto", "scalar", "avx2".
 const char* to_string(KernelTier tier);
 
 /// Strict parse of the CLI/env spelling; unknown names raise
@@ -95,7 +92,7 @@ const char* to_string(KernelTier tier);
 KernelTier tier_from_string(std::string_view text);
 
 /// Whether `tier` can run on this host (kAuto and kScalar always can; kAvx2
-/// additionally needs the CPUID probe to pass, kNeon an aarch64 build).
+/// additionally needs the CPUID probe to pass).
 bool tier_available(KernelTier tier);
 
 /// Every concrete tier this host can run, scalar first — the differential
@@ -115,7 +112,6 @@ const KernelTable& kernel_table(KernelTier tier);
 /// for the ISA (the stub keeps the link portable; availability additionally
 /// gates on the runtime probe).
 const KernelTable* avx2_table();
-const KernelTable* neon_table();
 
 // ---------------------------------------------------------------------------
 // Shared scalar bodies. The scalar table is built from these, and the SIMD

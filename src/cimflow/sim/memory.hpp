@@ -86,7 +86,7 @@ class ZeroedBuffer {
 };
 
 /// Grow-only 64-byte-aligned scratch for the hot-path kernels (the MVM
-/// accumulator row, pooling channel rows, the reference-path bounce buffer).
+/// accumulator row, pooling channel rows, gathered operand spans).
 /// `ensure` returns a pointer with capacity for at least `n` elements;
 /// contents are unspecified after growth — every caller fully initializes
 /// the elements it uses. Replaces the std::vector scratch members so the
@@ -157,11 +157,13 @@ class GlobalImage {
 
   // --- span pinning (the simulator's pointer-resolved kernels) --------------
   //
-  // Resolves [addr, addr+len) to one contiguous pointer so per-element loops
-  // run over raw memory instead of per-byte routed accesses. Returns nullptr
-  // when no contiguous view exists — the caller falls back to the byte path
-  // (read_bytes/write_bytes), which handles every layout. `len` must be > 0
-  // and in range (callers bounds-check first, as for read_bytes).
+  // Resolves [addr, addr+len) to one contiguous pointer so kernels run over
+  // raw memory. Returns nullptr when no contiguous view exists — the caller
+  // then gathers the span into its own scratch with read_bytes (and writes a
+  // gathered destination back with write_bytes), which handles every layout.
+  // The simulator does this in one place (CoreModel::pin_dst/pin_src). `len`
+  // must be > 0 and in range (callers bounds-check first, as for
+  // read_bytes).
   //
   // A read span resolves when the range lies in a single materialized page,
   // or entirely in the base with no overlapping page materialized (the same

@@ -81,7 +81,7 @@ struct SimReport {
   SchedulerStats scheduler;
   std::vector<CoreStats> cores;
 
-  /// The kernel tier the run dispatched to ("scalar"/"avx2"/"neon"; empty on
+  /// The kernel tier the run dispatched to ("scalar"/"avx2"; empty on
   /// a default-constructed report). Run telemetry, like wall-clock timings:
   /// deliberately EXCLUDED from to_json()/to_csv_row() so report payloads
   /// stay byte-identical across tiers (the hard invariant). Shown in

@@ -63,17 +63,11 @@ struct SimOptions {
   /// Reports are byte-identical for any value; raise it to put the whole
   /// machine on one big simulation.
   std::int64_t threads = 1;
-  /// Force the retained byte-routed functional kernels instead of the
-  /// pointer-resolved fast paths. Purely a differential-testing/debugging
-  /// knob: both implementations produce byte-identical outputs and never
-  /// touch timing, so this trades speed for nothing — keep it off outside
-  /// the kernel-equivalence tests.
-  bool reference_kernels = false;
   /// SIMD implementation tier for the functional hot-path kernels (see
   /// kernels_dispatch.hpp). kAuto resolves at simulator construction: the
   /// strict CIMFLOW_KERNELS env override wins, otherwise the best tier the
-  /// host supports. Every tier is byte-identical — this knob (like
-  /// reference_kernels) only moves wall clock, never a report metric.
+  /// host supports. Every tier is byte-identical — this knob only moves wall
+  /// clock, never a report metric.
   kernels::KernelTier kernel_tier = kernels::KernelTier::kAuto;
   const isa::Registry* registry = nullptr;  ///< defaults to Registry::builtin()
 
