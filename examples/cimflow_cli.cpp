@@ -1,64 +1,19 @@
-// cimflow_cli — command-line driver for the integrated workflow.
+// cimflow_cli — command-line driver for the integrated workflow: evaluate,
+// describe, plan, arch, sweep, serve (run the cimflowd daemon) and client
+// (send it one request). usage() below lists every subcommand's flags.
 //
-//   cimflow_cli evaluate  --model resnet18|vgg19|mobilenetv2|efficientnetb0|micro
-//                         [--model-file m.txt] [--arch config.json]
-//                         [--strategy generic|cimmlc|dp] [--batch N]
-//                         [--validate] [--input-hw N]
-//                         [--sim-threads N]     # shard one simulation across
-//                                               # N workers (0 = all cores);
-//                                               # reports are byte-identical
-//                         [--kernels T]         # SIMD kernel tier: auto
-//                                               # (default)|scalar|avx2,
-//                                               # mirroring CIMFLOW_KERNELS;
-//                                               # byte-identical reports, only
-//                                               # wall clock moves
-//                         [--trace out.json]    # Chrome trace-event timeline of
-//                                               # the simulated run (one track
-//                                               # per core); never perturbs the
-//                                               # report or --json bytes
-//                         [--json report.json]           # machine-readable report
-//   cimflow_cli describe  --model NAME [--save m.txt]    # dump model format
-//   cimflow_cli plan      --model NAME [--strategy S]    # mapping only
-//   cimflow_cli arch      [--arch config.json]           # resolved parameters
-//   cimflow_cli sweep     --model NAME [--mg 4,8,12,16] [--flit 8,16]
-//                         [--strategies generic,dp] [--batch N] [--threads N]
-//                         [--sim-threads N]     # simulator threads per point
-//                         [--cache-max-bytes N] # LRU size cap for --cache-dir
-//                         [--strategy grid|random|pareto]  # search strategy
-//                         [--budget N]          # max evaluations (0 = all)
-//                         [--cache-dir DIR]     # persistent compile cache
-//                         [--objectives latency,energy[,area]]
-//                         [--json sweep.json] [--csv sweep.csv]
-//                         # (mg x flit x strategy) DSE — dense grid by
-//                         # default, Pareto-guided under --strategy pareto
-//   cimflow_cli serve     --socket /path/cimflowd.sock [--workers N]
-//                         [--queue N]           # admission bound (rejections
-//                                               # are structured errors)
-//                         [--cache-dir DIR] [--cache-max-bytes N]
-//                         [--decode-lru N]      # strong decode-LRU capacity
-//                         # run cimflowd: a long-lived evaluation daemon with
-//                         # warm model/program/decode caches across requests
-//   cimflow_cli client    --socket /path/cimflowd.sock [--verb V] ...
-//                         # drive a running cimflowd; V = evaluate (default),
-//                         # sweep, search, stats, metrics, shutdown. evaluate
-//                         # and sweep take the same flags and defaults as the
-//                         # direct subcommands, and --json writes
-//                         # byte-identical documents to theirs. `metrics`
-//                         # prints Prometheus text exposition.
+// The request flags (--model --input-hw --arch --strategy --batch --validate
+// --seed --sim-threads, and sweep's --mg --flit --strategies --budget
+// --threads --objectives) map onto the keys of service/request.hpp through
+// kRequestFlags. That header holds every default, and the direct
+// subcommands, client and cimflowd all parse a request with its from_json,
+// so `client --json` writes the bytes the direct subcommand's --json does.
 //
-// Every subcommand honors --log-level debug|info|warn|error|off (and the
-// CIMFLOW_LOG environment variable; the flag wins when both are given).
-//
-// --json/--csv destinations are validated: an unwritable path raises a
-// cimflow::Error naming the path (exit 1) instead of silently dropping the
-// artifact. The sweep --json report is deterministic: rerunning the same
-// sweep (any thread count, cold or warm --cache-dir) writes identical bytes.
-//
-// Numeric flags are parsed strictly: "--batch 4x" or an empty list element
-// is an error naming the flag, never a silent truncation to 4. Each
-// subcommand rejects options it does not read and stray words: "--stratgey
-// dp" is an error naming the option, never a silent run with the default
-// strategy.
+// Flags are parsed strictly: "--batch 4x" or an empty list element is an
+// error naming the flag, never a silent truncation to 4. A bool flag takes
+// no value ("--validate 0" is an error, never a validated run), a path flag
+// requires one, and each subcommand rejects options it does not read and
+// stray words ("--stratgey dp" is an error naming the option).
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -75,6 +30,7 @@
 #include "cimflow/core/flow.hpp"
 #include "cimflow/search/driver.hpp"
 #include "cimflow/service/protocol.hpp"
+#include "cimflow/service/request.hpp"
 #include "cimflow/service/server.hpp"
 #include "cimflow/sim/decoded.hpp"
 #include "cimflow/sim/kernels_dispatch.hpp"
@@ -89,6 +45,9 @@
 namespace {
 
 using namespace cimflow;
+using service::EvaluateRequest;
+using service::resolve_arch;
+using service::SearchRequest;
 
 struct Args {
   std::string command;
@@ -100,21 +59,16 @@ struct Args {
     auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
-  /// Value of an option that requires one; `--budget` with nothing following
-  /// is a usage error, not the value "1".
-  std::string value(const std::string& name, const std::string& fallback) const {
+  /// Value of an option that requires one (`what`): `--budget` or `--json`
+  /// with nothing following is a usage error, not the value or file "1".
+  std::string value(const std::string& name, const std::string& fallback,
+                    const char* what = "a value") const {
     if (bare.count(name) != 0) {
-      raise(ErrorCode::kInvalidArgument, "option --" + name + " requires a value");
+      raise(ErrorCode::kInvalidArgument, "option --" + name + " requires " + what);
     }
     return get(name, fallback);
   }
-  /// Same for path-valued options (`--json` with no path is not a file "1").
-  std::string path(const std::string& name) const {
-    if (bare.count(name) != 0) {
-      raise(ErrorCode::kInvalidArgument, "option --" + name + " requires a path");
-    }
-    return get(name, "");
-  }
+  std::string path(const std::string& name) const { return value(name, "", "a path"); }
 };
 
 Args parse_args(int argc, char** argv) {
@@ -134,102 +88,134 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-//// e.what() without its "InvalidArgument: " code-name prefix, so a wrapped
-/// error reads "option --batch: invalid integer '4x'" with one prefix.
-std::string bare_message(const Error& e) {
-  const std::string prefix = std::string(to_string(e.code())) + ": ";
-  const std::string what = e.what();
-  return starts_with(what, prefix) ? what.substr(prefix.size()) : what;
+/// `parse(--name's value)`; an error names the flag: "--batch 4x" is an
+/// error naming --batch, never 4, and "--kernels avx512" (tiers mirror the
+/// CIMFLOW_KERNELS override) is never a silent fallback.
+template <typename Parse>
+auto parse_option(const std::string& name, const std::string& text, Parse parse) {
+  try {
+    return parse(text);
+  } catch (const Error& e) {
+    raise(ErrorCode::kInvalidArgument, "option --" + name + ": " + e.message());
+  }
 }
 
-// Strict numeric flags: "--batch 4x" is an error naming --batch, not 4.
 std::int64_t int_option(const Args& args, const std::string& name,
                         const std::string& fallback) {
-  try {
-    return parse_i64(args.value(name, fallback));
-  } catch (const Error& e) {
-    raise(ErrorCode::kInvalidArgument, "option --" + name + ": " + bare_message(e));
-  }
+  return parse_option(name, args.value(name, fallback), parse_i64);
 }
 
-std::vector<std::int64_t> int_list_option(const Args& args, const std::string& name,
-                                          const std::string& fallback) {
-  try {
-    return parse_i64_list(args.value(name, fallback));
-  } catch (const Error& e) {
-    raise(ErrorCode::kInvalidArgument, "option --" + name + ": " + bare_message(e));
-  }
-}
-
-/// Strict --kernels parse mirroring the CIMFLOW_KERNELS env override:
-/// auto (default) resolves to the best tier the host supports; scalar/avx2
-/// pin a tier (an unavailable one fails at simulator construction).
-/// "--kernels avx512" is an error naming the flag, never a silent fallback.
 sim::kernels::KernelTier kernels_option(const Args& args) {
-  try {
-    return sim::kernels::tier_from_string(args.value("kernels", "auto"));
-  } catch (const Error& e) {
-    raise(ErrorCode::kInvalidArgument, "option --kernels: " + bare_message(e));
+  return parse_option("kernels", args.value("kernels", "auto"),
+                      sim::kernels::tier_from_string);
+}
+
+/// The flags that spell a request: each flag's params key in an evaluate
+/// request and in a sweep/search request (null = not part of it), and how
+/// its text becomes the JSON value. A flag left out leaves its key out.
+enum class FlagKind { kString, kInt, kIntList, kStringList, kBool, kJsonFile };
+struct RequestFlag {
+  const char *flag, *evaluate_key, *search_key;
+  FlagKind kind;
+};
+constexpr RequestFlag kRequestFlags[] = {
+    {"model", "model", "model", FlagKind::kString},
+    {"input-hw", "input_hw", "input_hw", FlagKind::kInt},
+    {"arch", "arch", "arch", FlagKind::kJsonFile},
+    {"strategy", "strategy", "search_strategy", FlagKind::kString},
+    {"batch", "batch", "batch", FlagKind::kInt},
+    {"validate", "validate", nullptr, FlagKind::kBool},
+    {"seed", "seed", "seed", FlagKind::kInt},
+    {"sim-threads", "sim_threads", "sim_threads", FlagKind::kInt},
+    {"mg", nullptr, "mg", FlagKind::kIntList},
+    {"flit", nullptr, "flit", FlagKind::kIntList},
+    {"strategies", nullptr, "strategies", FlagKind::kStringList},
+    {"budget", nullptr, "budget", FlagKind::kInt},
+    {"threads", nullptr, "threads", FlagKind::kInt},
+    {"objectives", nullptr, "objectives", FlagKind::kStringList},
+};
+
+/// `local` plus the flags of an evaluate (or sweep/search) request: every
+/// option the subcommand reads.
+std::set<std::string> request_flags(bool search, std::set<std::string> local) {
+  for (const RequestFlag& f : kRequestFlags) {
+    if ((search ? f.search_key : f.evaluate_key) != nullptr) local.insert(f.flag);
   }
+  return local;
 }
 
-graph::Graph load_model(const Args& args) {
-  if (args.flag("model-file")) {
-    return graph::load_text_file(args.get("model-file", ""));
+/// A flag's JSON value. A bool flag takes no value: "--validate 0" is an
+/// error, not "validate".
+Json flag_value(const Args& args, const RequestFlag& f) {
+  const std::string name = f.flag;
+  if (f.kind == FlagKind::kBool && args.bare.count(name) == 0) {
+    raise(ErrorCode::kInvalidArgument,
+          "option --" + name + " takes no value (got '" + args.get(name, "") + "')");
   }
-  models::ModelOptions options;
-  options.input_hw = int_option(args, "input-hw", "224");
-  return models::build_model(args.get("model", "resnet18"), options);
-}
-
-arch::ArchConfig load_arch(const Args& args) {
-  if (args.flag("arch")) return arch::ArchConfig::from_file(args.get("arch", ""));
-  return arch::ArchConfig::cimflow_default();
-}
-
-std::vector<compiler::Strategy> parse_strategy_list(const std::string& text) {
-  std::vector<compiler::Strategy> values;
-  for (const std::string& piece : split(text, ',', /*keep_empty=*/true)) {
-    if (piece.empty()) {
-      raise(ErrorCode::kInvalidArgument,
-            "option --strategies: empty element in list '" + text + "'");
+  if (f.kind == FlagKind::kBool) return Json(true);
+  if (f.kind == FlagKind::kJsonFile) return Json::parse_file(args.path(name));
+  return parse_option(name, args.value(name, ""), [&](const std::string& text) {
+    if (f.kind == FlagKind::kString) return Json(text);
+    if (f.kind == FlagKind::kInt) return Json(parse_i64(text));
+    JsonArray items;
+    for (const std::string& piece : split(text, ',', /*keep_empty=*/true)) {
+      if (piece.empty()) {
+        raise(ErrorCode::kInvalidArgument, "empty element in list '" + text + "'");
+      }
+      items.push_back(f.kind == FlagKind::kIntList ? Json(parse_i64(piece)) : Json(piece));
     }
-    values.push_back(compiler::strategy_from_string(piece));
+    return Json(std::move(items));
+  });
+}
+
+/// The params of the request the given flags spell.
+Json request_params(const Args& args, bool search) {
+  JsonObject params;
+  for (const RequestFlag& f : kRequestFlags) {
+    const char* key = search ? f.search_key : f.evaluate_key;
+    if (key != nullptr && args.flag(f.flag)) params[key] = flag_value(args, f);
   }
-  return values;
+  return Json(std::move(params));
+}
+
+EvaluateRequest evaluate_request(const Args& args) {
+  return EvaluateRequest::from_json(request_params(args, false));
+}
+
+/// --model-file (a local path) wins over the request's built-in model.
+graph::Graph load_model(const Args& args, const std::string& name, std::int64_t input_hw) {
+  if (args.flag("model-file")) return graph::load_text_file(args.path("model-file"));
+  models::ModelOptions options;
+  options.input_hw = input_hw;
+  return models::build_model(name, options);
 }
 
 int usage() {
   std::fprintf(stderr,
-               "usage: cimflow_cli <evaluate|describe|plan|arch|sweep|serve|client> "
-               "[--model NAME] "
-               "[--model-file F] [--arch F] [--strategy generic|cimmlc|dp] "
-               "[--batch N] [--validate] [--input-hw N] [--save F] "
-               "[--mg LIST] [--flit LIST] [--strategies LIST] [--threads N]\n"
-               "  evaluate --json F       write the full evaluation report as JSON\n"
-               "  evaluate --trace F      write a Chrome trace-event timeline of the\n"
-               "                          simulated run (load in chrome://tracing or\n"
-               "                          ui.perfetto.dev; report bytes are unchanged)\n"
-               "  --sim-threads N         shard each simulation across N workers\n"
-               "                          (0 = all cores; byte-identical reports)\n"
-               "  --kernels T             SIMD kernel tier: auto (default), scalar,\n"
-               "                          avx2 — mirrors CIMFLOW_KERNELS; every tier\n"
-               "                          produces byte-identical reports\n"
-               "  --log-level L           stderr verbosity: debug|info|warn|error|off\n"
-               "                          (default warn; CIMFLOW_LOG env also works)\n"
-               "  sweep    --strategy S   search strategy: grid (default), random, pareto\n"
-               "  sweep    --budget N     cap the number of evaluated points (0 = all)\n"
-               "  sweep    --cache-dir D  reuse compiled programs across runs/processes\n"
-               "  sweep    --objectives L Pareto objectives (latency,energy[,area])\n"
-               "  sweep    --json F       write the sweep (deterministic bytes) as JSON\n"
-               "  sweep    --csv F        write one CSV row per evaluated point\n"
-               "  serve    --socket P     run cimflowd on UNIX socket P\n"
-               "           [--workers N] [--queue N] [--cache-dir D] [--decode-lru N]\n"
-               "           [--kernels T]\n"
-               "  client   --socket P --verb evaluate|sweep|search|stats|metrics|shutdown\n"
-               "                          drive a running cimflowd (same flags and\n"
-               "                          byte-identical --json as the direct commands;\n"
-               "                          metrics prints Prometheus text exposition)\n");
+               "usage: cimflow_cli <subcommand> [--name value ...]\n"
+               "  evaluate  --model resnet18|vgg19|mobilenetv2|efficientnetb0|micro\n"
+               "            [--model-file F] [--arch F] [--strategy generic|cimmlc|dp]\n"
+               "            [--batch N] [--validate] [--input-hw N] [--seed N]\n"
+               "            [--sim-threads N]  shard a simulation (0 = all cores)\n"
+               "            [--kernels T]      SIMD tier auto|scalar|avx2 (CIMFLOW_KERNELS)\n"
+               "            [--trace F]        Chrome trace-event timeline of the run\n"
+               "            [--json F]         the full report as JSON\n"
+               "  describe  --model NAME [--model-file F] [--input-hw N] [--save F]\n"
+               "  plan      --model NAME [--model-file F] [--input-hw N] [--arch F]\n"
+               "            [--strategy S] [--batch N]   mapping only\n"
+               "  arch      [--arch F]                   resolved parameters\n"
+               "  sweep     --model NAME [--mg LIST] [--flit LIST] [--strategies LIST]\n"
+               "            [--batch N] [--seed N] [--threads N] [--sim-threads N]\n"
+               "            [--strategy grid|random|pareto] [--budget N (0 = all)]\n"
+               "            [--objectives latency,energy[,area]] [--kernels T]\n"
+               "            [--cache-dir D] [--cache-max-bytes N] [--json F] [--csv F]\n"
+               "  serve     --socket P [--workers N] [--queue N] [--cache-dir D]\n"
+               "            [--cache-max-bytes N] [--decode-lru N] [--kernels T]\n"
+               "  client    --socket P [--verb evaluate|sweep|search|stats|metrics|\n"
+               "            shutdown] [request flags] [--json F]   one request to a\n"
+               "            running cimflowd; --json equals the direct subcommand's\n"
+               "  all: --log-level debug|info|warn|error|off (or CIMFLOW_LOG). Reports\n"
+               "  are byte-identical at any --threads, --sim-threads, --kernels, --trace\n");
   return 2;
 }
 
@@ -268,78 +254,35 @@ void reject_unknown_options(const Args& args, std::set<std::string> known) {
   }
 }
 
-/// Builds a daemon request's params from the same flags and defaults the
-/// direct subcommands use — the property making `client --json` output
-/// byte-identical to direct `evaluate --json` / `sweep --json` output.
-Json client_params(const Args& args, const std::string& verb) {
-  JsonObject params;
-  if (verb == "stats" || verb == "metrics" || verb == "shutdown") {
-    return Json(std::move(params));
-  }
-  if (verb != "evaluate" && verb != "sweep" && verb != "search") {
-    raise(ErrorCode::kInvalidArgument,
-          "option --verb: unknown verb '" + verb +
-              "' (expected evaluate, sweep, search, stats, metrics, or shutdown)");
-  }
-  params["model"] = Json(args.value("model", "resnet18"));
-  params["input_hw"] = Json(int_option(args, "input-hw", "224"));
-  // The raw config document; the daemon resolves it exactly like --arch does
-  // for a direct invocation.
-  if (args.flag("arch")) params["arch"] = Json::parse_file(args.path("arch"));
-  if (verb == "evaluate") {
-    params["strategy"] = Json(args.get("strategy", "dp"));
-    params["batch"] = Json(int_option(args, "batch", "8"));
-    if (args.flag("validate")) params["validate"] = Json(true);
-    params["sim_threads"] = Json(int_option(args, "sim-threads", "1"));
-    return Json(std::move(params));
-  }
-  JsonArray mg, flit;
-  for (std::int64_t v : int_list_option(args, "mg", "4,8,12,16")) mg.push_back(Json(v));
-  for (std::int64_t v : int_list_option(args, "flit", "8,16")) flit.push_back(Json(v));
-  params["mg"] = Json(std::move(mg));
-  params["flit"] = Json(std::move(flit));
-  JsonArray strategies;
-  for (compiler::Strategy s : parse_strategy_list(args.value("strategies", "generic,dp"))) {
-    strategies.push_back(Json(std::string(compiler::to_string(s))));
-  }
-  params["strategies"] = Json(std::move(strategies));
-  params["batch"] = Json(int_option(args, "batch", "4"));
-  params["budget"] = Json(int_option(args, "budget", "0"));
-  params["sim_threads"] = Json(int_option(args, "sim-threads", "1"));
-  params["threads"] = Json(int_option(args, "threads", "0"));
-  JsonArray objectives;
-  for (const std::string& name : split(args.value("objectives", "latency,energy"), ',')) {
-    objectives.push_back(Json(name));
-  }
-  params["objectives"] = Json(std::move(objectives));
-  params["search_strategy"] =
-      Json(args.value("strategy", verb == "sweep" ? "grid" : "pareto"));
-  return Json(std::move(params));
-}
-
 /// One request against a running cimflowd: connect, send, stream progress to
 /// stderr, and write the result payload exactly where the direct subcommand
 /// would (stdout, or --json). Exit 1 on a structured error event.
 int run_client(const Args& args) {
   const std::string verb = args.value("verb", "evaluate");
-  std::set<std::string> known = {"socket", "verb", "json"};
-  if (verb == "evaluate") {
-    known.insert({"model", "input-hw", "arch", "strategy", "batch", "validate",
-                  "sim-threads"});
-  } else if (verb == "sweep" || verb == "search") {
-    known.insert({"model", "input-hw", "arch", "mg", "flit", "strategies", "batch",
-                  "budget", "sim-threads", "threads", "objectives", "strategy"});
+  const bool compute = verb == "evaluate" || verb == "sweep" || verb == "search";
+  if (!compute && verb != "stats" && verb != "metrics" && verb != "shutdown") {
+    raise(ErrorCode::kInvalidArgument,
+          "option --verb: unknown verb '" + verb +
+              "' (expected evaluate, sweep, search, stats, metrics, or shutdown)");
   }
+  std::set<std::string> known = {"socket", "verb", "json"};
+  if (compute) known = request_flags(verb != "evaluate", std::move(known));
   reject_unknown_options(args, std::move(known));
   check_output_flags(args);
   const std::string socket_path = args.path("socket");
   if (socket_path.empty()) {
     raise(ErrorCode::kInvalidArgument, "client requires --socket PATH");
   }
-  JsonObject request;
-  request["id"] = Json(std::int64_t{1});
-  request["verb"] = Json(verb);
-  request["params"] = client_params(args, verb);
+  // Parsed here as in the daemon, so a bad value fails before connecting and
+  // the request carries every default explicitly.
+  Json params{JsonObject{}};
+  if (verb == "evaluate") {
+    params = evaluate_request(args).to_json();
+  } else if (compute) {
+    params = SearchRequest::from_json(request_params(args, true), verb).to_json();
+  }
+  const std::string line = service::wire_line(Json(JsonObject{
+      {"id", Json(std::int64_t{1})}, {"verb", Json(verb)}, {"params", std::move(params)}}));
 
   sockaddr_un addr{};
   if (socket_path.size() >= sizeof(addr.sun_path)) {
@@ -360,7 +303,6 @@ int run_client(const Args& args) {
           "cannot connect to " + socket_path + ": " + reason +
               " (is cimflowd running? start it with: cimflow_cli serve --socket ...)");
   }
-  const std::string line = service::wire_line(Json(std::move(request)));
   std::size_t off = 0;
   while (off < line.size()) {
     const ssize_t n = ::send(fd, line.data() + off, line.size() - off, 0);
@@ -406,12 +348,8 @@ int run_client(const Args& args) {
         const Json& body = event.at("payload");
         const std::string payload =
             body.is_string() ? body.as_string() : body.dump() + "\n";
-        if (args.flag("json")) {
-          write_text_file(args.path("json"), payload);
-          std::fprintf(stderr, "wrote --json %s\n", args.path("json").c_str());
-        } else {
-          std::printf("%s", payload.c_str());
-        }
+        write_requested(args, "json", payload);
+        if (!args.flag("json")) std::printf("%s", payload.c_str());
         ::close(fd);
         return 0;
       }
@@ -433,32 +371,30 @@ int main(int argc, char** argv) {
     }
     if (args.command == "arch") {
       reject_unknown_options(args, {"arch"});
-      std::printf("%s\n%s\n", load_arch(args).summary().c_str(),
-                  load_arch(args).to_json().dump().c_str());
+      const arch::ArchConfig config = resolve_arch(evaluate_request(args).arch);
+      std::printf("%s\n%s\n", config.summary().c_str(), config.to_json().dump().c_str());
       return 0;
     }
     if (args.command == "describe") {
       reject_unknown_options(args, {"model", "model-file", "input-hw", "save"});
-      const graph::Graph model = load_model(args);
+      const EvaluateRequest request = evaluate_request(args);
+      const graph::Graph model = load_model(args, request.model, request.input_hw);
       std::printf("%s\n", model.summary().c_str());
-      const std::string text = graph::save_text(model, 0x51AF);
       if (args.flag("save")) {
-        graph::save_text_file(model, 0x51AF, args.get("save", "model.txt"));
-        std::printf("written to %s\n", args.get("save", "model.txt").c_str());
+        graph::save_text_file(model, 0x51AF, args.path("save"));
+        std::printf("written to %s\n", args.path("save").c_str());
       } else {
-        std::printf("%s", text.c_str());
+        std::printf("%s", graph::save_text(model, 0x51AF).c_str());
       }
       return 0;
     }
     if (args.command == "plan") {
       reject_unknown_options(
           args, {"model", "model-file", "input-hw", "arch", "strategy", "batch"});
-      const graph::Graph model = load_model(args);
-      Flow flow(load_arch(args));
-      FlowOptions options;
-      options.strategy = compiler::strategy_from_string(args.get("strategy", "dp"));
-      options.batch = int_option(args, "batch", "8");
-      const compiler::CompileResult compiled = flow.compile(model, options);
+      const EvaluateRequest request = evaluate_request(args);
+      const graph::Graph model = load_model(args, request.model, request.input_hw);
+      Flow flow(resolve_arch(request.arch));
+      const compiler::CompileResult compiled = flow.compile(model, request.flow_options());
       const graph::CondensedGraph cg = graph::CondensedGraph::build(model);
       std::printf("%s\n%s", model.summary().c_str(),
                   compiled.plan.summary(cg).c_str());
@@ -468,42 +404,24 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (args.command == "sweep") {
-      reject_unknown_options(
-          args, {"model", "model-file", "input-hw", "arch", "mg", "flit", "strategies",
-                 "batch", "budget", "cache-dir", "cache-max-bytes", "objectives",
-                 "threads", "sim-threads", "kernels", "strategy", "json", "csv"});
+      reject_unknown_options(args, request_flags(true, {"model-file", "cache-dir",
+                                                         "cache-max-bytes", "kernels",
+                                                         "json", "csv"}));
       check_output_flags(args);
-      const graph::Graph model = load_model(args);
-      search::SearchJob job;
-      job.space.mg_sizes = int_list_option(args, "mg", "4,8,12,16");
-      job.space.flit_sizes = int_list_option(args, "flit", "8,16");
-      job.space.strategies = parse_strategy_list(args.value("strategies", "generic,dp"));
-      job.batch = int_option(args, "batch", "4");
-      const std::int64_t budget = int_option(args, "budget", "0");
-      if (budget < 0) {
-        raise(ErrorCode::kInvalidArgument,
-              "--budget must be >= 0 (0 = the whole space)");
-      }
-      job.budget = static_cast<std::size_t>(budget);
+      const SearchRequest request = SearchRequest::from_json(request_params(args, true));
+      const graph::Graph model = load_model(args, request.model, request.input_hw);
+      search::SearchJob job = request.job();
       job.cache_dir = args.flag("cache-dir") ? args.path("cache-dir") : "";
       job.cache_max_bytes = int_option(args, "cache-max-bytes", "0");
-      job.objectives.clear();
-      for (const std::string& name :
-           split(args.value("objectives", "latency,energy"), ',')) {
-        job.objectives.push_back(search::objective_from_string(name));
-      }
       job.progress = [](std::size_t completed, std::size_t budget) {
         std::fprintf(stderr, "  [%zu/%zu] done\n", completed, budget);
       };
-      search::SearchDriver::Options dopt;
-      dopt.engine.num_threads =
-          static_cast<std::size_t>(int_option(args, "threads", "0"));
-      dopt.engine.eval.sim_threads = int_option(args, "sim-threads", "1");
+      search::SearchDriver::Options dopt = request.driver_options();
       dopt.engine.eval.kernel_tier = kernels_option(args);
       const std::unique_ptr<search::SearchStrategy> strategy =
-          search::make_strategy(args.value("strategy", "grid"));
-      const search::SearchResult result =
-          search::SearchDriver(dopt).run(model, load_arch(args), *strategy, job);
+          search::make_strategy(request.search_strategy);
+      const search::SearchResult result = search::SearchDriver(dopt).run(
+          model, resolve_arch(request.arch), *strategy, job);
 
       const std::vector<DsePoint> points = result.ok_points();
       const std::vector<std::size_t> front = result.front_positions(points);
@@ -555,17 +473,13 @@ int main(int argc, char** argv) {
       return run_client(args);
     }
     if (args.command == "evaluate") {
-      reject_unknown_options(args, {"model", "model-file", "input-hw", "arch", "strategy",
-                                    "batch", "validate", "sim-threads", "kernels",
-                                    "trace", "json"});
+      reject_unknown_options(args,
+                             request_flags(false, {"model-file", "kernels", "trace", "json"}));
       check_output_flags(args);
-      const graph::Graph model = load_model(args);
-      Flow flow(load_arch(args));
-      FlowOptions options;
-      options.strategy = compiler::strategy_from_string(args.get("strategy", "dp"));
-      options.batch = int_option(args, "batch", "8");
-      options.validate = args.flag("validate");
-      options.eval.sim_threads = int_option(args, "sim-threads", "1");
+      const EvaluateRequest request = evaluate_request(args);
+      const graph::Graph model = load_model(args, request.model, request.input_hw);
+      Flow flow(resolve_arch(request.arch));
+      FlowOptions options = request.flow_options();
       options.eval.kernel_tier = kernels_option(args);
       options.trace_path = args.flag("trace") ? args.path("trace") : "";
       const EvaluationReport report = flow.evaluate(model, options);
@@ -586,8 +500,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   } catch (const std::exception& e) {
-    // Anything non-domain (OOM, logic errors); malformed numeric options are
-    // cimflow::Error now, caught above with the offending flag in the message.
+    // Anything non-domain (OOM, logic errors); bad flags are cimflow::Error.
     std::fprintf(stderr, "unexpected error: %s\n", e.what());
     return 2;
   }

@@ -32,12 +32,10 @@ Request parse_request(const std::string& line) {
 }
 
 Json progress_event(std::int64_t id, std::size_t completed, std::size_t total) {
-  JsonObject o;
-  o["event"] = Json("progress");
-  o["id"] = Json(id);
-  o["completed"] = Json(static_cast<std::int64_t>(completed));
-  o["total"] = Json(static_cast<std::int64_t>(total));
-  return Json(std::move(o));
+  return Json(JsonObject{{"event", Json("progress")},
+                         {"id", Json(id)},
+                         {"completed", Json(static_cast<std::int64_t>(completed))},
+                         {"total", Json(static_cast<std::int64_t>(total))}});
 }
 
 Json result_event(std::int64_t id, const Json& body) {
@@ -48,14 +46,11 @@ Json result_event(std::int64_t id, const Json& body) {
 }
 
 Json error_event(std::int64_t id, ErrorCode code, const std::string& message) {
-  JsonObject detail;
-  detail["code"] = Json(std::string(to_string(code)));
-  detail["message"] = Json(message);
-  JsonObject o;
-  o["event"] = Json("error");
-  o["id"] = Json(id);
-  o["error"] = Json(std::move(detail));
-  return Json(std::move(o));
+  return Json(JsonObject{
+      {"event", Json("error")},
+      {"id", Json(id)},
+      {"error", Json(JsonObject{{"code", Json(std::string(to_string(code)))},
+                                {"message", Json(message)}})}});
 }
 
 std::string wire_line(const Json& event) { return event.dump_line() + "\n"; }

@@ -3,110 +3,28 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
-#include <vector>
 
-#include "cimflow/arch/arch_config.hpp"
 #include "cimflow/core/flow.hpp"
 #include "cimflow/models/models.hpp"
 #include "cimflow/search/driver.hpp"
 #include "cimflow/search/strategy.hpp"
+#include "cimflow/service/request.hpp"
 #include "cimflow/support/strings.hpp"
 
 namespace cimflow::service {
 namespace {
 
-// Typed param accessors that name the offending key — a daemon client gets
-// the same quality of error a CLI user gets from the strict flag parsers.
-std::int64_t int_param(const Json& params, const std::string& key,
-                       std::int64_t fallback) {
-  if (!params.contains(key)) return fallback;
-  const Json& value = params.at(key);
-  if (!value.is_number()) {
-    raise(ErrorCode::kInvalidArgument, "param \"" + key + "\" must be a number");
-  }
-  return value.as_int();
-}
-
-bool bool_param(const Json& params, const std::string& key, bool fallback) {
-  if (!params.contains(key)) return fallback;
-  const Json& value = params.at(key);
-  if (!value.is_bool()) {
-    raise(ErrorCode::kInvalidArgument, "param \"" + key + "\" must be a boolean");
-  }
-  return value.as_bool();
-}
-
-std::string string_param(const Json& params, const std::string& key,
-                         const std::string& fallback) {
-  if (!params.contains(key)) return fallback;
-  const Json& value = params.at(key);
-  if (!value.is_string()) {
-    raise(ErrorCode::kInvalidArgument, "param \"" + key + "\" must be a string");
-  }
-  return value.as_string();
-}
-
-std::vector<std::int64_t> int_list_param(const Json& params, const std::string& key,
-                                         std::vector<std::int64_t> fallback) {
-  if (!params.contains(key)) return fallback;
-  const Json& value = params.at(key);
-  if (!value.is_array()) {
-    raise(ErrorCode::kInvalidArgument,
-          "param \"" + key + "\" must be an array of numbers");
-  }
-  std::vector<std::int64_t> out;
-  out.reserve(value.as_array().size());
-  for (const Json& item : value.as_array()) {
-    if (!item.is_number()) {
-      raise(ErrorCode::kInvalidArgument,
-            "param \"" + key + "\" must be an array of numbers");
-    }
-    out.push_back(item.as_int());
-  }
-  return out;
-}
-
-std::vector<std::string> string_list_param(const Json& params, const std::string& key,
-                                           std::vector<std::string> fallback) {
-  if (!params.contains(key)) return fallback;
-  const Json& value = params.at(key);
-  if (!value.is_array()) {
-    raise(ErrorCode::kInvalidArgument,
-          "param \"" + key + "\" must be an array of strings");
-  }
-  std::vector<std::string> out;
-  out.reserve(value.as_array().size());
-  for (const Json& item : value.as_array()) {
-    if (!item.is_string()) {
-      raise(ErrorCode::kInvalidArgument,
-            "param \"" + key + "\" must be an array of strings");
-    }
-    out.push_back(item.as_string());
-  }
-  return out;
-}
-
-arch::ArchConfig arch_param(const Json& params) {
-  if (!params.contains("arch")) return arch::ArchConfig::cimflow_default();
-  const Json& value = params.at("arch");
-  if (!value.is_object()) {
-    raise(ErrorCode::kInvalidArgument,
-          "param \"arch\" must be an architecture-config object");
-  }
-  return arch::ArchConfig::from_json(value);
-}
+Json count(std::size_t n) { return Json(static_cast<std::int64_t>(n)); }
 
 Json decoded_stats_json() {
   const sim::DecodedCacheStats stats = sim::decoded_cache_stats();
-  JsonObject o;
-  o["lookups"] = Json(static_cast<std::int64_t>(stats.lookups));
-  o["hits"] = Json(static_cast<std::int64_t>(stats.hits));
-  o["builds"] = Json(static_cast<std::int64_t>(stats.builds));
-  o["live"] = Json(static_cast<std::int64_t>(stats.live));
-  o["strong_entries"] = Json(static_cast<std::int64_t>(stats.strong_entries));
-  o["strong_evictions"] = Json(static_cast<std::int64_t>(stats.strong_evictions));
-  o["strong_capacity"] = Json(static_cast<std::int64_t>(stats.strong_capacity));
-  return Json(std::move(o));
+  return Json(JsonObject{{"lookups", count(stats.lookups)},
+                         {"hits", count(stats.hits)},
+                         {"builds", count(stats.builds)},
+                         {"live", count(stats.live)},
+                         {"strong_entries", count(stats.strong_entries)},
+                         {"strong_evictions", count(stats.strong_evictions)},
+                         {"strong_capacity", count(stats.strong_capacity)}});
 }
 
 }  // namespace
@@ -126,14 +44,12 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
   eval_.install_decode_cache();
 }
 
-void Router::record_scheduler(std::int64_t events_dispatched,
-                              std::int64_t max_queue_depth,
-                              std::int64_t idle_cycles_skipped) {
+void Router::record_scheduler(const sim::SchedulerStats& run) {
   std::lock_guard<std::mutex> lock(mu_);
   ++scheduler_.reports;
-  scheduler_.events_dispatched += events_dispatched;
-  scheduler_.max_queue_depth = std::max(scheduler_.max_queue_depth, max_queue_depth);
-  scheduler_.idle_cycles_skipped += idle_cycles_skipped;
+  scheduler_.events_dispatched += run.events_dispatched;
+  scheduler_.max_queue_depth = std::max(scheduler_.max_queue_depth, run.max_queue_depth);
+  scheduler_.idle_cycles_skipped += run.idle_cycles_skipped;
 }
 
 Router::ModelEntry Router::model(const std::string& name, std::int64_t input_hw) {
@@ -153,104 +69,50 @@ Router::ModelEntry Router::model(const std::string& name, std::int64_t input_hw)
 }
 
 Json Router::handle_evaluate(const Json& params, const ProgressFn& progress) {
-  const ModelEntry entry =
-      model(string_param(params, "model", "micro"), int_param(params, "input_hw", 224));
-  Flow flow(arch_param(params));
-  FlowOptions options;
-  options.strategy =
-      compiler::strategy_from_string(string_param(params, "strategy", "dp"));
-  options.batch = int_param(params, "batch", 8);
-  options.functional = bool_param(params, "functional", false);
-  options.validate = bool_param(params, "validate", false);
-  options.input_seed =
-      static_cast<std::uint64_t>(int_param(params, "seed", 7));
-  options.eval = eval_.for_model(entry.fingerprint);
-  options.eval.sim_threads = int_param(params, "sim_threads", 1);
+  const EvaluateRequest request = EvaluateRequest::from_json(params);
+  const ModelEntry entry = model(request.model, request.input_hw);
+  Flow flow(resolve_arch(request.arch));
+  const FlowOptions options = request.flow_options(eval_.for_model(entry.fingerprint));
 
   if (progress) progress(0, 1);
   const EvaluationReport report = flow.evaluate(*entry.graph, options);
   if (progress) progress(1, 1);
-  record_scheduler(report.sim.scheduler.events_dispatched,
-                   report.sim.scheduler.max_queue_depth,
-                   report.sim.scheduler.idle_cycles_skipped);
-
-  JsonObject cache;
-  cache["compile_memo_hit"] = Json(report.compile_cache_hit);
-  cache["persistent_hit"] = Json(report.persistent_cache_hit);
-  JsonObject body;
-  body["payload"] = report.to_json();  // exact `evaluate --json` document
-  body["cache"] = Json(std::move(cache));
-  return Json(std::move(body));
+  record_scheduler(report.sim.scheduler);
+  return Json(JsonObject{
+      {"payload", report.to_json()},  // exact `evaluate --json` document
+      {"cache", Json(JsonObject{{"compile_memo_hit", Json(report.compile_cache_hit)},
+                                {"persistent_hit", Json(report.persistent_cache_hit)}})}});
 }
 
 Json Router::handle_search(const Json& params, const ProgressFn& progress,
-                           const std::string& default_strategy) {
-  const ModelEntry entry =
-      model(string_param(params, "model", "micro"), int_param(params, "input_hw", 224));
-  const arch::ArchConfig base = arch_param(params);
-
-  search::SearchJob job;
-  job.space.mg_sizes = int_list_param(params, "mg", {4, 8, 12, 16});
-  job.space.flit_sizes = int_list_param(params, "flit", {8, 16});
-  job.space.strategies.clear();
-  for (const std::string& name :
-       string_list_param(params, "strategies", {"generic", "dp"})) {
-    job.space.strategies.push_back(compiler::strategy_from_string(name));
-  }
-  job.batch = int_param(params, "batch", 4);
-  job.functional = bool_param(params, "functional", false);
-  job.seed = static_cast<std::uint64_t>(int_param(params, "seed", 7));
-  const std::int64_t budget = int_param(params, "budget", 0);
-  if (budget < 0) {
-    raise(ErrorCode::kInvalidArgument,
-          "param \"budget\" must be >= 0 (0 = the whole space)");
-  }
-  job.budget = static_cast<std::size_t>(budget);
-  job.objectives.clear();
-  for (const std::string& name :
-       string_list_param(params, "objectives", {"latency", "energy"})) {
-    job.objectives.push_back(search::objective_from_string(name));
-  }
+                           const std::string& verb) {
+  const SearchRequest request = SearchRequest::from_json(params, verb);
+  const ModelEntry entry = model(request.model, request.input_hw);
+  search::SearchJob job = request.job();
   if (progress) job.progress = progress;
-
-  search::SearchDriver::Options dopt;
-  dopt.engine.num_threads =
-      static_cast<std::size_t>(int_param(params, "threads", 0));
   // The daemon-scoped warm layers replace the driver's run-local ones: the
   // memo and the persistent cache inside eval_ survive this request.
-  dopt.engine.eval = eval_.for_model(entry.fingerprint);
-  dopt.engine.eval.sim_threads = int_param(params, "sim_threads", 1);
+  const search::SearchDriver::Options dopt =
+      request.driver_options(eval_.for_model(entry.fingerprint));
   const std::unique_ptr<search::SearchStrategy> strategy =
-      search::make_strategy(string_param(params, "search_strategy", default_strategy));
+      search::make_strategy(request.search_strategy);
   const search::SearchResult result =
-      search::SearchDriver(dopt).run(*entry.graph, base, *strategy, job);
+      search::SearchDriver(dopt).run(*entry.graph, resolve_arch(request.arch), *strategy, job);
   for (const DsePoint& point : result.points) {
-    if (!point.ok) continue;
-    record_scheduler(point.report.sim.scheduler.events_dispatched,
-                     point.report.sim.scheduler.max_queue_depth,
-                     point.report.sim.scheduler.idle_cycles_skipped);
+    if (point.ok) record_scheduler(point.report.sim.scheduler);
   }
-
-  JsonObject cache;
-  cache["compile_memo_hits"] =
-      Json(static_cast<std::int64_t>(result.stats.compile_cache_hits));
-  cache["compile_memo_misses"] =
-      Json(static_cast<std::int64_t>(result.stats.compile_cache_misses));
-  cache["persistent_hits"] =
-      Json(static_cast<std::int64_t>(result.stats.persistent_cache_hits));
-  cache["persistent_stores"] =
-      Json(static_cast<std::int64_t>(result.stats.persistent_cache_stores));
-  JsonObject body;
-  body["payload"] = result.to_json(false);  // exact `sweep --json` document
-  body["cache"] = Json(std::move(cache));
-  return Json(std::move(body));
+  return Json(JsonObject{
+      {"payload", result.to_json(false)},  // exact `sweep --json` document
+      {"cache", Json(JsonObject{
+                    {"compile_memo_hits", count(result.stats.compile_cache_hits)},
+                    {"compile_memo_misses", count(result.stats.compile_cache_misses)},
+                    {"persistent_hits", count(result.stats.persistent_cache_hits)},
+                    {"persistent_stores", count(result.stats.persistent_cache_stores)}})}});
 }
 
 Json Router::handle(const Request& request, const ProgressFn& progress) {
   const auto t0 = std::chrono::steady_clock::now();
   auto record = [&](bool failed) {
-    // Integer nanoseconds end to end: a double-milliseconds accumulator
-    // rounded warm-cache requests (tens of microseconds) down to noise.
     const std::int64_t wall_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
@@ -267,10 +129,8 @@ Json Router::handle(const Request& request, const ProgressFn& progress) {
     Json body{JsonObject{}};
     if (request.verb == "evaluate") {
       body = handle_evaluate(request.params, progress);
-    } else if (request.verb == "sweep") {
-      body = handle_search(request.params, progress, "grid");
-    } else if (request.verb == "search") {
-      body = handle_search(request.params, progress, "pareto");
+    } else if (request.verb == "sweep" || request.verb == "search") {
+      body = handle_search(request.params, progress, request.verb);
     } else {
       raise(ErrorCode::kInvalidArgument,
             "unknown verb \"" + request.verb +
@@ -291,45 +151,39 @@ Json Router::stats_json() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [verb, stats] : verbs_) {
-      JsonObject v;
-      v["requests"] = Json(static_cast<std::int64_t>(stats.requests));
-      v["failures"] = Json(static_cast<std::int64_t>(stats.failures));
-      v["wall_seconds_total"] = Json(static_cast<double>(stats.wall_ns_total) * 1e-9);
-      v["wall_seconds_last"] = Json(static_cast<double>(stats.wall_ns_last) * 1e-9);
-      v["latency_p50_seconds"] = Json(stats.latency.percentile_seconds(0.50));
-      v["latency_p90_seconds"] = Json(stats.latency.percentile_seconds(0.90));
-      v["latency_p99_seconds"] = Json(stats.latency.percentile_seconds(0.99));
-      verbs[verb] = Json(std::move(v));
+      verbs[verb] = Json(JsonObject{
+          {"requests", count(stats.requests)},
+          {"failures", count(stats.failures)},
+          {"wall_seconds_total", Json(static_cast<double>(stats.wall_ns_total) * 1e-9)},
+          {"wall_seconds_last", Json(static_cast<double>(stats.wall_ns_last) * 1e-9)},
+          {"latency_p50_seconds", Json(stats.latency.percentile_seconds(0.50))},
+          {"latency_p90_seconds", Json(stats.latency.percentile_seconds(0.90))},
+          {"latency_p99_seconds", Json(stats.latency.percentile_seconds(0.99))}});
     }
     model_count = models_.size();
     sched = scheduler_;
   }
   JsonObject o;
   o["verbs"] = Json(std::move(verbs));
-  o["models_cached"] = Json(static_cast<std::int64_t>(model_count));
-  o["memo_entries"] = Json(static_cast<std::int64_t>(memo_.size()));
+  o["models_cached"] = count(model_count);
+  o["memo_entries"] = count(memo_.size());
   o["kernel_tier"] = Json(std::string(sim::kernels::to_string(tier_)));
   o["decode_cache"] = decoded_stats_json();
-  JsonObject scheduler;
-  scheduler["reports"] = Json(sched.reports);
-  scheduler["events_dispatched"] = Json(sched.events_dispatched);
-  scheduler["max_queue_depth"] = Json(sched.max_queue_depth);
-  scheduler["idle_cycles_skipped"] = Json(sched.idle_cycles_skipped);
-  o["scheduler"] = Json(std::move(scheduler));
+  o["scheduler"] = Json(JsonObject{{"reports", Json(sched.reports)},
+                                   {"events_dispatched", Json(sched.events_dispatched)},
+                                   {"max_queue_depth", Json(sched.max_queue_depth)},
+                                   {"idle_cycles_skipped", Json(sched.idle_cycles_skipped)}});
+  o["persistent_cache"] = Json();
   if (persistent_) {
     const PersistentProgramCache::Stats stats = persistent_->stats();
-    JsonObject p;
-    p["dir"] = Json(persistent_->dir());
-    p["hits"] = Json(static_cast<std::int64_t>(stats.hits));
-    p["misses"] = Json(static_cast<std::int64_t>(stats.misses));
-    p["rejected"] = Json(static_cast<std::int64_t>(stats.rejected));
-    p["stores"] = Json(static_cast<std::int64_t>(stats.stores));
-    p["store_failures"] = Json(static_cast<std::int64_t>(stats.store_failures));
-    p["evictions"] = Json(static_cast<std::int64_t>(stats.evictions));
-    p["touch_failures"] = Json(static_cast<std::int64_t>(stats.touch_failures));
-    o["persistent_cache"] = Json(std::move(p));
-  } else {
-    o["persistent_cache"] = Json();
+    o["persistent_cache"] = Json(JsonObject{{"dir", Json(persistent_->dir())},
+                                            {"hits", count(stats.hits)},
+                                            {"misses", count(stats.misses)},
+                                            {"rejected", count(stats.rejected)},
+                                            {"stores", count(stats.stores)},
+                                            {"store_failures", count(stats.store_failures)},
+                                            {"evictions", count(stats.evictions)},
+                                            {"touch_failures", count(stats.touch_failures)}});
   }
   return Json(std::move(o));
 }
@@ -341,11 +195,14 @@ std::string Router::metrics_text(std::size_t queue_depth, std::size_t inflight) 
     out += text;
     out += '\n';
   };
-  line("# HELP cimflowd_queue_depth Requests waiting in the daemon queue.");
-  line("# TYPE cimflowd_queue_depth gauge");
+  // One metric family: its HELP and TYPE lines, then its sample lines.
+  auto family = [&line](const char* name, const char* type, const char* help) {
+    line(strprintf("# HELP %s %s", name, help));
+    line(strprintf("# TYPE %s %s", name, type));
+  };
+  family("cimflowd_queue_depth", "gauge", "Requests waiting in the daemon queue.");
   line(strprintf("cimflowd_queue_depth %zu", queue_depth));
-  line("# HELP cimflowd_inflight_requests Requests currently being handled.");
-  line("# TYPE cimflowd_inflight_requests gauge");
+  family("cimflowd_inflight_requests", "gauge", "Requests currently being handled.");
   line(strprintf("cimflowd_inflight_requests %zu", inflight));
 
   std::map<std::string, VerbStats> verbs;
@@ -358,20 +215,17 @@ std::string Router::metrics_text(std::size_t queue_depth, std::size_t inflight) 
     model_count = models_.size();
   }
 
-  line("# HELP cimflowd_requests_total Requests handled, by verb.");
-  line("# TYPE cimflowd_requests_total counter");
+  family("cimflowd_requests_total", "counter", "Requests handled, by verb.");
   for (const auto& [verb, stats] : verbs) {
     line(strprintf("cimflowd_requests_total{verb=\"%s\"} %zu", verb.c_str(),
                    stats.requests));
   }
-  line("# HELP cimflowd_request_failures_total Failed requests, by verb.");
-  line("# TYPE cimflowd_request_failures_total counter");
+  family("cimflowd_request_failures_total", "counter", "Failed requests, by verb.");
   for (const auto& [verb, stats] : verbs) {
     line(strprintf("cimflowd_request_failures_total{verb=\"%s\"} %zu", verb.c_str(),
                    stats.failures));
   }
-  line("# HELP cimflowd_request_seconds Request wall-clock latency, by verb.");
-  line("# TYPE cimflowd_request_seconds histogram");
+  family("cimflowd_request_seconds", "histogram", "Request wall-clock latency, by verb.");
   for (const auto& [verb, stats] : verbs) {
     std::int64_t cumulative = 0;
     for (int i = 0; i < trace::LatencyHistogram::kFiniteBuckets; ++i) {
@@ -388,44 +242,35 @@ std::string Router::metrics_text(std::size_t queue_depth, std::size_t inflight) 
                    static_cast<long long>(stats.latency.count())));
   }
 
-  line("# HELP cimflowd_kernel_tier The SIMD kernel tier every simulator dispatches to.");
-  line("# TYPE cimflowd_kernel_tier gauge");
-  line(strprintf("cimflowd_kernel_tier{tier=\"%s\"} 1",
-                 sim::kernels::to_string(tier_)));
-
-  line("# HELP cimflowd_models_cached Distinct (model, input_hw) graphs cached.");
-  line("# TYPE cimflowd_models_cached gauge");
+  family("cimflowd_kernel_tier", "gauge",
+         "The SIMD kernel tier every simulator dispatches to.");
+  line(strprintf("cimflowd_kernel_tier{tier=\"%s\"} 1", sim::kernels::to_string(tier_)));
+  family("cimflowd_models_cached", "gauge", "Distinct (model, input_hw) graphs cached.");
   line(strprintf("cimflowd_models_cached %zu", model_count));
-  line("# HELP cimflowd_compile_memo_entries Programs held by the in-memory memo.");
-  line("# TYPE cimflowd_compile_memo_entries gauge");
+  family("cimflowd_compile_memo_entries", "gauge", "Programs held by the in-memory memo.");
   line(strprintf("cimflowd_compile_memo_entries %zu", memo_.size()));
 
   const sim::DecodedCacheStats decode = sim::decoded_cache_stats();
-  line("# HELP cimflowd_decode_cache_lookups_total Decoded-program cache lookups.");
-  line("# TYPE cimflowd_decode_cache_lookups_total counter");
+  family("cimflowd_decode_cache_lookups_total", "counter", "Decoded-program cache lookups.");
   line(strprintf("cimflowd_decode_cache_lookups_total %zu", decode.lookups));
-  line("# HELP cimflowd_decode_cache_hits_total Decoded-program cache hits.");
-  line("# TYPE cimflowd_decode_cache_hits_total counter");
+  family("cimflowd_decode_cache_hits_total", "counter", "Decoded-program cache hits.");
   line(strprintf("cimflowd_decode_cache_hits_total %zu", decode.hits));
 
   if (persistent_) {
     const PersistentProgramCache::Stats stats = persistent_->stats();
-    line("# HELP cimflowd_persistent_cache_hits_total On-disk compile-cache hits.");
-    line("# TYPE cimflowd_persistent_cache_hits_total counter");
+    family("cimflowd_persistent_cache_hits_total", "counter", "On-disk compile-cache hits.");
     line(strprintf("cimflowd_persistent_cache_hits_total %zu", stats.hits));
-    line("# HELP cimflowd_persistent_cache_misses_total On-disk compile-cache misses.");
-    line("# TYPE cimflowd_persistent_cache_misses_total counter");
+    family("cimflowd_persistent_cache_misses_total", "counter",
+           "On-disk compile-cache misses.");
     line(strprintf("cimflowd_persistent_cache_misses_total %zu", stats.misses));
   }
 
-  line("# HELP cimflowd_sim_events_dispatched_total Scheduler events committed "
-       "across every simulated report.");
-  line("# TYPE cimflowd_sim_events_dispatched_total counter");
+  family("cimflowd_sim_events_dispatched_total", "counter",
+         "Scheduler events committed across every simulated report.");
   line(strprintf("cimflowd_sim_events_dispatched_total %lld",
                  static_cast<long long>(sched.events_dispatched)));
-  line("# HELP cimflowd_sim_max_queue_depth Peak scheduler event-queue depth "
-       "over every simulated report.");
-  line("# TYPE cimflowd_sim_max_queue_depth gauge");
+  family("cimflowd_sim_max_queue_depth", "gauge",
+         "Peak scheduler event-queue depth over every simulated report.");
   line(strprintf("cimflowd_sim_max_queue_depth %lld",
                  static_cast<long long>(sched.max_queue_depth)));
   return out;

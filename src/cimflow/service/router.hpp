@@ -11,9 +11,9 @@
 //
 // Thread-safety: handle() is called concurrently from the daemon's worker
 // pool. The memo and persistent cache are internally synchronized; the model
-// cache and per-verb counters are guarded here. Result payloads are the
-// exact documents the CLI's --json flags write for equivalent direct
-// invocations (deterministic dump makes the bytes identical).
+// cache and per-verb counters are guarded here. Params parse through
+// service/request.hpp, as on the CLI, so result payloads are the exact
+// documents the CLI's --json flags write for the same request.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,7 @@
 #include "cimflow/graph/graph.hpp"
 #include "cimflow/service/protocol.hpp"
 #include "cimflow/sim/decoded.hpp"
+#include "cimflow/sim/report.hpp"
 #include "cimflow/support/trace.hpp"
 
 namespace cimflow::service {
@@ -82,10 +83,8 @@ class Router {
   struct VerbStats {
     std::size_t requests = 0;
     std::size_t failures = 0;
-    /// Wall time accumulates in integer nanoseconds — a double-milliseconds
-    /// total silently truncated sub-millisecond requests (the common case for
-    /// warm-cache hits) and drifted once totals grew large. Reported as
-    /// seconds (double) at the JSON boundary only.
+    /// Integer nanoseconds, exact for sub-millisecond warm hits; seconds
+    /// only at the JSON boundary.
     std::int64_t wall_ns_total = 0;
     std::int64_t wall_ns_last = 0;
     /// Fixed log-scale latency histogram feeding p50/p90/p99 in `stats` and
@@ -106,15 +105,12 @@ class Router {
   ModelEntry model(const std::string& name, std::int64_t input_hw);
 
   Json handle_evaluate(const Json& params, const ProgressFn& progress);
-  /// Sweep and search share the driver path; they differ only in the default
-  /// search strategy (grid = the dense deterministic sweep, pareto = the
-  /// adaptive refinement).
+  /// Sweep and search share the driver path; the verb picks the default.
   Json handle_search(const Json& params, const ProgressFn& progress,
-                     const std::string& default_strategy);
+                     const std::string& verb);
 
   /// Folds one simulator run's event-queue counters into the totals.
-  void record_scheduler(std::int64_t events_dispatched, std::int64_t max_queue_depth,
-                        std::int64_t idle_cycles_skipped);
+  void record_scheduler(const sim::SchedulerStats& run);
 
   RouterOptions options_;
   ProgramMemo memo_;

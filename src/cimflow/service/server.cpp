@@ -174,14 +174,17 @@ void Daemon::handle_line(const std::shared_ptr<Connection>& conn,
     request = parse_request(line);
   } catch (const Error& e) {
     // No usable id yet — the error echoes id 0.
-    conn->write_line(wire_line(error_event(0, e.code(), e.what())));
+    conn->write_line(wire_line(error_event(0, e.code(), e.message())));
     return;
   }
 
-  if (request.verb == "stats") {
+  auto reply = [&](Json payload) {
     JsonObject body;
-    body["payload"] = stats_json();
+    body["payload"] = std::move(payload);
     conn->write_line(wire_line(result_event(request.id, Json(std::move(body)))));
+  };
+  if (request.verb == "stats") {
+    reply(stats_json());
     return;
   }
   if (request.verb == "metrics") {
@@ -196,9 +199,7 @@ void Daemon::handle_line(const std::shared_ptr<Connection>& conn,
       queue_depth = queue_.size();
       inflight = active_jobs_;
     }
-    JsonObject body;
-    body["payload"] = Json(router_.metrics_text(queue_depth, inflight));
-    conn->write_line(wire_line(result_event(request.id, Json(std::move(body)))));
+    reply(Json(router_.metrics_text(queue_depth, inflight)));
     return;
   }
   if (request.verb == "shutdown") {
@@ -207,11 +208,7 @@ void Daemon::handle_line(const std::shared_ptr<Connection>& conn,
       draining_ = true;  // admission closes; queued + running work drains
     }
     wait_drained();
-    JsonObject payload;
-    payload["stopped"] = Json(true);
-    JsonObject body;
-    body["payload"] = Json(std::move(payload));
-    conn->write_line(wire_line(result_event(request.id, Json(std::move(body)))));
+    reply(Json(JsonObject{{"stopped", Json(true)}}));
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
@@ -222,33 +219,26 @@ void Daemon::handle_line(const std::shared_ptr<Connection>& conn,
 
   // Compute verb: admit or reject under the queue bound. The error is
   // written outside the lock — sends must never serialize admission.
-  enum class Reject { kNone, kDraining, kFull };
-  Reject reject = Reject::kNone;
-  std::size_t pending = 0;
+  const std::int64_t id = request.id;
+  std::string rejection;  // empty = admitted
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_ || stop_) {
-      reject = Reject::kDraining;
+      rejection = "daemon is draining for shutdown; request rejected";
       ++rejected_draining_;
     } else if (queue_.size() >= options_.max_queue) {
-      reject = Reject::kFull;
-      pending = queue_.size();
+      rejection = strprintf("admission queue is full (%zu pending); retry later",
+                            queue_.size());
       ++rejected_queue_full_;
     } else {
       queue_.push_back(Job{conn, std::move(request)});
       ++accepted_;
     }
   }
-  if (reject == Reject::kNone) {
+  if (rejection.empty()) {
     queue_cv_.notify_one();
-  } else if (reject == Reject::kDraining) {
-    conn->write_line(wire_line(
-        error_event(request.id, ErrorCode::kCapacityExceeded,
-                    "daemon is draining for shutdown; request rejected")));
   } else {
-    conn->write_line(wire_line(error_event(
-        request.id, ErrorCode::kCapacityExceeded,
-        strprintf("admission queue is full (%zu pending); retry later", pending))));
+    conn->write_line(wire_line(error_event(id, ErrorCode::kCapacityExceeded, rejection)));
   }
 }
 
@@ -286,7 +276,7 @@ void Daemon::run_job(const Job& job) {
     event = result_event(id, body);
     ok = true;
   } catch (const Error& e) {
-    event = error_event(id, e.code(), e.what());
+    event = error_event(id, e.code(), e.message());
   } catch (const std::exception& e) {
     // Systemic (bad_alloc, logic errors): report and keep serving — one bad
     // request must not take the daemon down.
@@ -299,11 +289,7 @@ void Daemon::run_job(const Job& job) {
   // completed/failed counters.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ok) {
-      ++completed_;
-    } else {
-      ++failed_;
-    }
+    ++(ok ? completed_ : failed_);
   }
   conn->write_line(wire_line(event));
 }
@@ -314,23 +300,19 @@ void Daemon::wait_drained() {
 }
 
 Json Daemon::stats_json() const {
-  JsonObject daemon;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    daemon["workers"] = Json(static_cast<std::int64_t>(options_.workers));
-    daemon["queue_capacity"] = Json(static_cast<std::int64_t>(options_.max_queue));
-    daemon["queue_depth"] = Json(static_cast<std::int64_t>(queue_.size()));
-    daemon["active"] = Json(static_cast<std::int64_t>(active_jobs_));
-    daemon["accepted"] = Json(static_cast<std::int64_t>(accepted_));
-    daemon["rejected_queue_full"] =
-        Json(static_cast<std::int64_t>(rejected_queue_full_));
-    daemon["rejected_draining"] = Json(static_cast<std::int64_t>(rejected_draining_));
-    daemon["completed"] = Json(static_cast<std::int64_t>(completed_));
-    daemon["failed"] = Json(static_cast<std::int64_t>(failed_));
-    daemon["draining"] = Json(draining_);
-  }
   JsonObject o = router_.stats_json().as_object();
-  o["daemon"] = Json(std::move(daemon));
+  const auto count = [](std::uint64_t n) { return Json(static_cast<std::int64_t>(n)); };
+  std::lock_guard<std::mutex> lock(mu_);
+  o["daemon"] = Json(JsonObject{{"workers", count(options_.workers)},
+                                {"queue_capacity", count(options_.max_queue)},
+                                {"queue_depth", count(queue_.size())},
+                                {"active", count(active_jobs_)},
+                                {"accepted", count(accepted_)},
+                                {"rejected_queue_full", count(rejected_queue_full_)},
+                                {"rejected_draining", count(rejected_draining_)},
+                                {"completed", count(completed_)},
+                                {"failed", count(failed_)},
+                                {"draining", Json(draining_)}});
   return Json(std::move(o));
 }
 

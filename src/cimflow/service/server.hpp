@@ -24,6 +24,7 @@
 // serve() returns after joining every thread and unlinking the socket path.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,8 +36,6 @@
 
 #include "cimflow/service/protocol.hpp"
 #include "cimflow/service/router.hpp"
-
-#include <condition_variable>
 
 namespace cimflow::service {
 

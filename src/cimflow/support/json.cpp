@@ -197,6 +197,8 @@ std::int64_t Json::as_int() const {
   if (!is_number()) type_error("integer", kind_);
   const double rounded = std::nearbyint(number_);
   if (std::abs(number_ - rounded) > 1e-9) type_error("integer", kind_);
+  // Casting a double outside the int64 range is undefined behaviour.
+  if (!(std::abs(rounded) < 9223372036854775808.0)) type_error("integer", kind_);
   return static_cast<std::int64_t>(rounded);
 }
 

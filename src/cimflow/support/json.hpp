@@ -84,6 +84,9 @@ class Json {
   /// all machine-readable output formats numbers identically.
   static std::string number_to_string(double value);
 
+  /// Value equality: the same canonical serialization.
+  bool operator==(const Json& other) const { return dump_line() == other.dump_line(); }
+
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace cimflow {
 
@@ -21,6 +22,10 @@ const char* to_string(ErrorCode code) noexcept {
 Error::Error(ErrorCode code, const std::string& message)
     : std::runtime_error(std::string(to_string(code)) + ": " + message),
       code_(code) {}
+
+const char* Error::message() const noexcept {
+  return what() + std::strlen(to_string(code_)) + 2;
+}
 
 void raise(ErrorCode code, const std::string& message) {
   throw Error(code, message);

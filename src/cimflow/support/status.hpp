@@ -35,6 +35,8 @@ class Error : public std::runtime_error {
   Error(ErrorCode code, const std::string& message);
 
   ErrorCode code() const noexcept { return code_; }
+  /// what() without its "Code: " prefix, for wrapping in a longer message.
+  const char* message() const noexcept;
 
  private:
   ErrorCode code_;

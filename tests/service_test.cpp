@@ -1,9 +1,11 @@
 // Tests for the cimflowd evaluation daemon: wire-protocol parsing and event
 // shapes, the error paths of the socket server (malformed JSON, unknown
 // verbs, oversized request lines, queue-full rejection, disconnect
-// mid-stream, graceful shutdown draining), and the warm-path acceptance
-// properties — result payloads byte-identical to direct CLI-equivalent
-// invocations, and repeated requests served from the shared program memo.
+// mid-stream, graceful shutdown draining), the request schema shared with
+// the CLI (defaults, round trip, strict rejection), and the warm-path
+// acceptance properties — result payloads byte-identical to direct
+// CLI-equivalent invocations, and repeated requests served from the shared
+// program memo.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -24,6 +26,7 @@
 #include "cimflow/search/driver.hpp"
 #include "cimflow/search/strategy.hpp"
 #include "cimflow/service/protocol.hpp"
+#include "cimflow/service/request.hpp"
 #include "cimflow/service/server.hpp"
 #include "cimflow/sim/decoded.hpp"
 
@@ -100,6 +103,127 @@ TEST(ProtocolTest, DumpLineMatchesDumpSemantics) {
   EXPECT_EQ(line.find('\n'), std::string::npos);
   EXPECT_EQ(line.find(' '), std::string::npos);
   EXPECT_EQ(Json::parse(line).dump(), doc.dump());
+}
+
+// --- request schema ---------------------------------------------------------
+
+const Json kEmptyParams{JsonObject{}};
+
+TEST(RequestTest, EmptyParamsGiveTheCliDefaults) {
+  const EvaluateRequest eval = EvaluateRequest::from_json(kEmptyParams);
+  EXPECT_EQ(eval.model, "resnet18");
+  EXPECT_EQ(eval.input_hw, 224);
+  EXPECT_TRUE(eval.arch.is_null());
+  EXPECT_EQ(eval.strategy, compiler::Strategy::kDpOptimized);
+  EXPECT_EQ(eval.batch, 8);
+  EXPECT_FALSE(eval.validate);
+  EXPECT_EQ(eval.seed, 7);
+  EXPECT_EQ(eval.sim_threads, 1);
+
+  const SearchRequest sweep = SearchRequest::from_json(kEmptyParams);
+  EXPECT_EQ(sweep.model, "resnet18");
+  EXPECT_EQ(sweep.input_hw, 224);
+  EXPECT_EQ(sweep.mg, (std::vector<std::int64_t>{4, 8, 12, 16}));
+  EXPECT_EQ(sweep.flit, (std::vector<std::int64_t>{8, 16}));
+  EXPECT_EQ(sweep.strategies, (std::vector<compiler::Strategy>{
+                                  compiler::Strategy::kGeneric,
+                                  compiler::Strategy::kDpOptimized}));
+  EXPECT_EQ(sweep.batch, 4);
+  EXPECT_EQ(sweep.budget, 0);
+  EXPECT_EQ(sweep.seed, 7);
+  EXPECT_EQ(sweep.sim_threads, 1);
+  EXPECT_EQ(sweep.threads, 0);
+  EXPECT_EQ(sweep.objectives, (std::vector<search::Objective>{
+                                  search::Objective::kLatency, search::Objective::kEnergy}));
+  EXPECT_EQ(sweep.search_strategy, "grid");
+  EXPECT_EQ(SearchRequest::from_json(kEmptyParams, "search").search_strategy, "pareto");
+
+  // The conversions hand the library the same defaults.
+  const FlowOptions options = eval.flow_options();
+  EXPECT_EQ(options.batch, 8);
+  EXPECT_EQ(options.input_seed, 7u);
+  EXPECT_FALSE(options.functional);
+  const search::SearchJob job = sweep.job();
+  EXPECT_EQ(job.space.mg_sizes, sweep.mg);
+  EXPECT_EQ(job.batch, 4);
+  EXPECT_EQ(job.budget, 0u);
+}
+
+TEST(RequestTest, ToJsonRoundTrips) {
+  EvaluateRequest eval;
+  EXPECT_EQ(EvaluateRequest::from_json(eval.to_json()), eval);
+  eval.model = "micro";
+  eval.input_hw = 64;
+  eval.arch = Json::parse(R"({"chip":{"noc_flit_bytes":16}})");
+  eval.strategy = compiler::Strategy::kOpportunistic;
+  eval.batch = 2;
+  eval.validate = true;
+  eval.seed = 11;
+  eval.sim_threads = 0;
+  EXPECT_EQ(EvaluateRequest::from_json(eval.to_json()), eval);
+
+  SearchRequest sweep;
+  EXPECT_EQ(SearchRequest::from_json(sweep.to_json()), sweep);
+  sweep.model = "micro";
+  sweep.arch = Json::parse(R"({"core":{"mg_per_unit":8}})");
+  sweep.mg = {8};
+  sweep.flit = {16, 32};
+  sweep.strategies = {compiler::Strategy::kOpportunistic};
+  sweep.batch = 1;
+  sweep.budget = 3;
+  sweep.seed = 5;
+  sweep.sim_threads = 2;
+  sweep.threads = 2;
+  sweep.objectives = {search::Objective::kEnergy, search::Objective::kArea};
+  sweep.search_strategy = "random";
+  EXPECT_EQ(SearchRequest::from_json(sweep.to_json()), sweep);
+  // An explicit search_strategy wins over the verb's default.
+  EXPECT_EQ(SearchRequest::from_json(sweep.to_json(), "search"), sweep);
+}
+
+/// The message of the InvalidArgument `parse` raises (fails when none).
+template <typename Parse>
+std::string invalid_argument(Parse parse) {
+  try {
+    parse();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+    return e.what();
+  }
+  ADD_FAILURE() << "no error raised";
+  return "";
+}
+
+TEST(RequestTest, RejectsUnknownKeysWrongTypesAndOutOfRangeValues) {
+  const auto eval = [](const char* text) {
+    return invalid_argument([&] { EvaluateRequest::from_json(Json::parse(text)); });
+  };
+  const auto sweep = [](const char* text) {
+    return invalid_argument([&] { SearchRequest::from_json(Json::parse(text)); });
+  };
+  EXPECT_NE(eval(R"({"stratgey":"generic"})").find("\"stratgey\""), std::string::npos);
+  EXPECT_NE(eval(R"({"functional":true})").find("\"functional\""), std::string::npos);
+  EXPECT_NE(eval(R"({"batch":"8"})").find("\"batch\""), std::string::npos);
+  EXPECT_NE(eval(R"({"batch":2.5})").find("\"batch\""), std::string::npos);
+  EXPECT_NE(eval(R"({"validate":1})").find("\"validate\""), std::string::npos);
+  EXPECT_NE(eval(R"({"strategy":"bogus"})").find("\"strategy\""), std::string::npos);
+  EXPECT_NE(eval(R"({"arch":"cfg.json"})").find("\"arch\""), std::string::npos);
+  EXPECT_NE(eval(R"({"batch":0})").find("\"batch\""), std::string::npos);
+  EXPECT_NE(eval(R"({"sim_threads":-1})").find("\"sim_threads\""), std::string::npos);
+  EXPECT_NE(eval(R"({"mg":[4]})").find("\"mg\""), std::string::npos);  // sweep-only
+  EXPECT_NE(sweep(R"({"mg":8})").find("\"mg\""), std::string::npos);
+  EXPECT_NE(sweep(R"({"flit":["8"]})").find("\"flit\""), std::string::npos);
+  EXPECT_NE(sweep(R"({"objectives":["speed"]})").find("\"objectives\""),
+            std::string::npos);
+  EXPECT_NE(sweep(R"({"budget":-1})").find("\"budget\""), std::string::npos);
+  EXPECT_NE(sweep(R"({"batch":-2})").find("\"batch\""), std::string::npos);
+  EXPECT_NE(sweep(R"({"threads":-1})").find("\"threads\""), std::string::npos);
+  EXPECT_NE(sweep(R"({"search_strategy":"annealing"})").find("\"search_strategy\""),
+            std::string::npos);
+  EXPECT_NE(sweep(R"({"validate":true})").find("\"validate\""), std::string::npos);
+  EXPECT_NE(invalid_argument([] { EvaluateRequest::from_json(Json(JsonArray{})); })
+                .find("object"),
+            std::string::npos);
 }
 
 // --- daemon harness ---------------------------------------------------------
@@ -260,6 +384,26 @@ TEST(DaemonTest, UnknownVerbIsRejectedWithEchoedId) {
   EXPECT_EQ(event.at("error").at("code").as_string(), "InvalidArgument");
   EXPECT_NE(event.at("error").at("message").as_string().find("frobnicate"),
             std::string::npos);
+}
+
+TEST(DaemonTest, ZeroBatchIsAnInvalidArgumentAndTheDaemonKeepsServing) {
+  DaemonHarness harness(base_options("zerobatch"));
+  TestClient client(harness.daemon().socket_path());
+  ASSERT_TRUE(client.ok());
+  client.send_line(R"({"id":5,"verb":"evaluate","params":{"batch":0}})");
+  const Json error = client.terminal_event();
+  ASSERT_FALSE(error.is_null());
+  EXPECT_EQ(error.at("event").as_string(), "error");
+  EXPECT_EQ(error.at("id").as_int(), 5);
+  EXPECT_EQ(error.at("error").at("code").as_string(), "InvalidArgument");
+  EXPECT_NE(error.at("error").at("message").as_string().find("\"batch\""),
+            std::string::npos);
+
+  client.send_line(R"({"id":6,"verb":"stats"})");
+  const Json stats = client.terminal_event();
+  ASSERT_FALSE(stats.is_null());
+  EXPECT_EQ(stats.at("event").as_string(), "result") << stats.dump();
+  EXPECT_EQ(stats.at("payload").at("verbs").at("evaluate").at("failures").as_int(), 1);
 }
 
 TEST(DaemonTest, OversizedRequestLineIsDiscardedConnectionSurvives) {

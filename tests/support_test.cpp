@@ -146,6 +146,10 @@ TEST(JsonTest, TypeErrors) {
   EXPECT_THROW(doc.at("x").as_string(), Error);
   EXPECT_THROW(doc.at("x").as_int(), Error);  // non-integral number
   EXPECT_THROW(doc.at("missing"), Error);
+  // Integral but outside int64: an error, never an undefined cast.
+  EXPECT_THROW(Json::parse("1e30").as_int(), Error);
+  EXPECT_THROW(Json::parse("-1e19").as_int(), Error);
+  EXPECT_EQ(Json::parse("-9007199254740992").as_int(), -9007199254740992);
 }
 
 TEST(JsonTest, DumpRoundTrip) {
